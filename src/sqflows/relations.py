@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .flows import FlowFunction, undefined_value
 from .matchings import Collection, collection, is_balanced
-from .network import PlanarNetwork, vertex_split
+from .network import PlanarNetwork
 from .semiring import (
     COUNTING_NAT,
     EXACT_INT,
@@ -134,16 +134,14 @@ def verify_stable(rel: QuadraticRelation) -> bool:
 
 
 def symbolic_check(rel: QuadraticRelation, net: PlanarNetwork, inst: Instantiation | None = None) -> bool:
-    """Evaluate both sides over polynomials with one variable per split-edge;
+    """Evaluate both sides over polynomials with one variable per vertex (per
+    original vertex on a split network, whose weights sit on the split-edges);
     equality here means equality for every weighting over every commutative
     semiring on this network."""
-    work = net if net.is_split else vertex_split(net)
-    originals = work.original_vertices()
-    weighting = {v: Poly.variable(v) for v in originals}
-    carrier = Starred(POLY_NAT)
-    f = FlowFunction(work, weighting, carrier)
+    weighting = {v: Poly.variable(v) for v in net.original_vertices() or net.vertices}
+    f = FlowFunction(net, weighting, Starred(POLY_NAT))
     if inst is None:
-        inst = default_instantiation(rel, n=len(work.sources))
+        inst = default_instantiation(rel, n=len(net.sources))
     return sides_equal(evaluate_sides(f, rel, inst))
 
 

@@ -1,0 +1,286 @@
+"""The frontier sweep behind f(I) and the path matrix, checked against
+enumeration (``enumerate_flag_flows`` + ``flow_weight``) and the brute-force
+oracle, value and type, and for the same errors."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from _brute import naive_flag_flows
+from sqflows.counterexample import build_gadget_network
+from sqflows.flows import (
+    Flow,
+    FlowError,
+    enumerate_flag_flows,
+    enumerate_flows,
+    evaluate_fgf,
+    flow_weight,
+    lindstrom_matrix,
+    undefined_value,
+)
+from sqflows.matchings import enumerate_nested_matchings
+from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, vertex_split
+from sqflows.relations import random_weighting
+from sqflows.semiring import (
+    CARRIERS,
+    COUNTING_NAT,
+    EXACT_INT,
+    POLY_INT,
+    POLY_NAT,
+    STAR,
+    CarrierMismatch,
+    Poly,
+    Starred,
+)
+
+PLAIN = tuple(CARRIERS.values())
+ALL_CARRIERS = PLAIN + tuple(Starred(c) for c in PLAIN)
+
+# sources a, b and sinks c, d with the disjoint system a -> d, b -> c only:
+# the forced k-th source to k-th sink pairing admits no flag flow for {1, 2}
+CROSSED = PlanarNetwork(
+    vertices=("a", "b", "c", "d"),
+    edges=(("a", "d"), ("b", "c")),
+    sources=("a", "b"),
+    sinks=("c", "d"),
+    planarity="declared",
+)
+
+
+def _gadgets():
+    out = []
+    for p in (1, 2, 3):
+        for m in enumerate_nested_matchings(2 * p, p):
+            if all((j - i) % 2 for i, j in m.arcs):
+                out.append(build_gadget_network(m).network)
+    return out
+
+
+GADGETS = _gadgets()
+
+
+def enumerated(net, weighting, I, carrier):
+    """f(I) the way enumeration computes it: a fold of add over the flow
+    weights."""
+    total = None
+    for flow in enumerate_flag_flows(net, I):
+        w = flow_weight(net, weighting, flow, carrier)
+        total = w if total is None else carrier.add(total, w)
+    return undefined_value(carrier) if total is None else total
+
+
+def brute(net, weighting, I, carrier):
+    """f(I) from the brute-force systems of every sink pairing, keeping the
+    order-preserving ones."""
+    I = tuple(sorted(I))
+    if len(I) > len(net.sinks):
+        return undefined_value(carrier)
+    sinks = tuple(range(1, len(I) + 1))
+    total = None
+    for perm, system in naive_flag_flows(net, I):
+        if perm != tuple(range(len(I))):
+            continue
+        flow = Flow(paths=tuple(system), source_indices=I, sink_indices=sinks, network=net)
+        w = flow_weight(net, weighting, flow, carrier)
+        total = w if total is None else carrier.add(total, w)
+    return undefined_value(carrier) if total is None else total
+
+
+def same(a, b):
+    return type(a) is type(b) and a == b
+
+
+@st.composite
+def networks(draw):
+    kind = draw(st.sampled_from(("halfgrid", "grid", "split", "gadget")))
+    if kind == "halfgrid":
+        return build_half_grid(draw(st.integers(1, 5)))
+    if kind == "gadget":
+        return draw(st.sampled_from(GADGETS))
+    grid = random_grid_network(
+        draw(st.integers(1, 4)), draw(st.integers(1, 3)), random.Random(draw(st.integers(0, 999)))
+    )
+    if kind == "grid":
+        return grid
+    return vertex_split(draw(st.sampled_from((grid, build_half_grid(draw(st.integers(1, 4)))))))
+
+
+@st.composite
+def cases(draw, carriers=ALL_CARRIERS):
+    net = draw(networks())
+    carrier = draw(st.sampled_from(carriers))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    weighting = random_weighting(net.original_vertices() or net.vertices, carrier, rng)
+    for v, x in weighting.items():
+        if isinstance(carrier, Starred) and rng.random() < 0.15:
+            weighting[v] = STAR
+        elif type(x) is Fraction and x.denominator == 1 and rng.random() < 0.5:
+            weighting[v] = int(x)  # rational carriers take ints too
+    I = draw(st.sets(st.integers(1, len(net.sources))))
+    return net, weighting, I, carrier
+
+
+SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
+@given(cases())
+def test_sweep_matches_enumeration(case):
+    net, weighting, I, carrier = case
+    assert same(evaluate_fgf(net, weighting, I, carrier), enumerated(net, weighting, I, carrier))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_sweep_matches_brute_force(case):
+    net, weighting, I, carrier = case
+    assert evaluate_fgf(net, weighting, I, carrier) == brute(net, weighting, I, carrier)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(carriers=(EXACT_INT, POLY_INT)))
+def test_path_matrix_matches_enumeration(case):
+    net, weighting, _, carrier = case
+    n = len(net.sources)
+    if len(net.sinks) != n:
+        return
+    matrix = lindstrom_matrix(net, weighting, carrier)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            total = carrier.zero
+            for flow in enumerate_flows(net, (i,), (j,)):
+                total = carrier.add(total, flow_weight(net, weighting, flow, carrier))
+            assert matrix[j - 1][i - 1] == total
+
+
+def test_split_network_gives_the_same_polynomial():
+    # what symbolic_check relies on: one variable per original vertex gives
+    # the same polynomial on the network and on its split
+    for net in (build_half_grid(4), random_grid_network(4, 2, random.Random(5))):
+        split = vertex_split(net)
+        weighting = {v: Poly.variable(v) for v in net.vertices}
+        for size in range(len(net.sources) + 1):
+            for I in combinations(range(1, len(net.sources) + 1), size):
+                assert evaluate_fgf(net, weighting, I, POLY_NAT) == evaluate_fgf(
+                    split, weighting, I, POLY_NAT
+                )
+
+
+@pytest.mark.parametrize("carrier", ALL_CARRIERS, ids=lambda c: c.name)
+def test_edge_cases(carrier):
+    g = build_half_grid(4)
+    weighting = random_weighting(g.vertices, carrier, random.Random(carrier.name))
+    # the empty index set has one empty flow, worth the empty product; one
+    # flow through one vertex is worth that vertex's weight, as given
+    assert same(evaluate_fgf(g, weighting, (), carrier), carrier.one)
+    if isinstance(weighting["1,1"], Fraction):
+        weighting["1,1"] = 3
+    assert same(evaluate_fgf(g, weighting, {1}, carrier), weighting["1,1"])
+    # more sources than sinks, and a set without flows, are undefined
+    gadget = GADGETS[-1]
+    w = random_weighting(gadget.vertices, carrier, random.Random(1))
+    big = range(1, len(gadget.sinks) + 2)
+    assert same(evaluate_fgf(gadget, w, big, carrier), undefined_value(carrier))
+    grid = random_grid_network(3, 1, random.Random(0))
+    w = random_weighting(grid.vertices, carrier, random.Random(2))
+    assert not enumerate_flag_flows(grid, {2, 3})
+    assert same(evaluate_fgf(grid, w, {2, 3}, carrier), undefined_value(carrier))
+    # non-planar input: both engines keep the forced pairing
+    w = random_weighting(CROSSED.vertices, carrier, random.Random(3))
+    for I in ({1}, {2}, {1, 2}):
+        assert same(evaluate_fgf(CROSSED, w, I, carrier), enumerated(CROSSED, w, I, carrier))
+    assert same(evaluate_fgf(CROSSED, w, {1, 2}, carrier), undefined_value(carrier))
+
+
+def test_crossed_network_path_matrix():
+    ones = {v: 1 for v in CROSSED.vertices}
+    assert lindstrom_matrix(CROSSED, ones, EXACT_INT) == ((0, 1), (1, 0))
+
+
+def test_terminal_that_is_not_a_vertex():
+    net = PlanarNetwork(vertices=("a", "b"), edges=(("a", "b"),), sources=("a", "x"), sinks=("b", "y"))
+    ones = {"a": 1, "b": 1}
+    assert evaluate_fgf(net, ones, {1}, COUNTING_NAT) == 1
+    for I in ({2}, {1, 2}):
+        with pytest.raises(FlowError, match="not a vertex"):
+            enumerate_flag_flows(net, I)
+        with pytest.raises(FlowError, match="not a vertex"):
+            evaluate_fgf(net, ones, I, COUNTING_NAT)
+    with pytest.raises(FlowError, match="not a vertex"):
+        lindstrom_matrix(net, ones, EXACT_INT)
+
+
+def test_cycle_and_bad_indices():
+    cyclic = PlanarNetwork(
+        vertices=("a", "b", "c"), edges=(("a", "b"), ("b", "c"), ("c", "b")), sources=("a",), sinks=("c",)
+    )
+    ones = {v: 1 for v in cyclic.vertices}
+    for call in (
+        lambda: evaluate_fgf(cyclic, ones, {1}, COUNTING_NAT),
+        lambda: evaluate_fgf(cyclic, ones, (), COUNTING_NAT),
+        lambda: enumerate_flag_flows(cyclic, {1}),
+        lambda: lindstrom_matrix(cyclic, ones, EXACT_INT),
+    ):
+        with pytest.raises(FlowError, match="cycle"):
+            call()
+    g = build_half_grid(3)
+    ones = {v: 1 for v in g.vertices}
+    for I, message in (((0,), "outside"), ((4,), "outside"), ((2, 2), "repeated")):
+        with pytest.raises(FlowError, match=message):
+            evaluate_fgf(g, ones, I, COUNTING_NAT)
+
+
+def _on_some_flow(net, I):
+    used = set()
+    for flow in enumerate_flag_flows(net, I):
+        for path in flow.paths:
+            used.update(net.origin_of(v) or v for v in path)
+    return used
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_half_grid(5), vertex_split(build_half_grid(4))]
+    + [random_grid_network(4, 2, random.Random(s)) for s in range(3)]
+    + GADGETS[-3:],
+    ids=lambda net: f"{len(net.vertices)}v",
+)
+def test_bad_weight_raises_only_on_a_flow(net):
+    # partial systems that die later pass through off-flow vertices: a
+    # missing or foreign weight there must not raise
+    keys = net.original_vertices() or net.vertices
+    ones = {v: 1 for v in keys}
+    for size in range(len(net.sources) + 1):
+        for I in combinations(range(1, len(net.sources) + 1), size):
+            expected = evaluate_fgf(net, ones, I, COUNTING_NAT)
+            used = _on_some_flow(net, I)
+            for v in keys:
+                missing = {u: 1 for u in keys if u != v}
+                foreign = dict(ones, **{v: -1})
+                if v in used:
+                    with pytest.raises(FlowError, match="missing"):
+                        evaluate_fgf(net, missing, I, COUNTING_NAT)
+                    with pytest.raises(CarrierMismatch):
+                        evaluate_fgf(net, foreign, I, COUNTING_NAT)
+                else:
+                    assert evaluate_fgf(net, missing, I, COUNTING_NAT) == expected
+                    assert evaluate_fgf(net, foreign, I, COUNTING_NAT) == expected
+
+
+def test_terminals_shared_between_paths():
+    # a vertex that is a terminal of two paths admits no disjoint system
+    chain = PlanarNetwork(
+        vertices=("a", "b", "c"), edges=(("a", "b"), ("b", "c"), ("a", "c")), sources=("a", "b"), sinks=("b", "c")
+    )
+    twice = PlanarNetwork(
+        vertices=("a", "b", "c"), edges=(("a", "b"), ("a", "c")), sources=("a", "a"), sinks=("b", "c")
+    )
+    for net in (chain, twice):
+        ones = {v: 1 for v in net.vertices}
+        for I in ({1}, {2}, {1, 2}):
+            assert same(evaluate_fgf(net, ones, I, COUNTING_NAT), enumerated(net, ones, I, COUNTING_NAT))
+        assert evaluate_fgf(net, ones, {1, 2}, COUNTING_NAT) == 0
