@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import counterexample as cx
 from . import doubleflow as dfmod
@@ -55,14 +54,19 @@ def _load_pair(path: str) -> tuple[mt.Collection, mt.Collection]:
         raise CliError(f"cannot read {path!r}: {exc}") from None
 
 
+# The relations without parameters, by name: `verify family:<name>` and
+# `gen-family <name>`.
+_FIXED_FAMILIES = {
+    "triple": rel.family_triple,
+    "quadruple": rel.family_quadruple,
+    "quintuple": rel.family_quintuple,
+}
+
+
 def _load_relation(spec: str) -> rel.QuadraticRelation:
-    families = {
-        "family:triple": rel.family_triple,
-        "family:quadruple": rel.family_quadruple,
-        "family:quintuple": rel.family_quintuple,
-    }
-    if spec in families:
-        return families[spec]()
+    prefix, _, name = spec.partition(":")
+    if prefix == "family" and name in _FIXED_FAMILIES:
+        return _FIXED_FAMILIES[name]()
     lhs, rhs = _load_pair(spec)
     return rel.QuadraticRelation(lhs.p, lhs.q, lhs, rhs)
 
@@ -115,16 +119,7 @@ def cmd_enumerate_matchings(args) -> int:
     return 0
 
 
-def _verify_tasks(args, relation, net):
-    modes = {
-        "numeric": ("nat", "int", "posrat"),
-        "tropical": ("tropint", "troprat"),
-    }
-    tasks = []
-    for name in modes[args.mode]:
-        for trial in range(args.trials):
-            tasks.append((name, trial))
-    return tasks
+_VERIFY_CARRIERS = {"numeric": ("nat", "int", "posrat"), "tropical": ("tropint", "troprat")}
 
 
 def _run_verify_task(relation, net, carrier_name, trial, seed):
@@ -164,20 +159,14 @@ def cmd_verify(args) -> int:
         _emit(args, "verify", ok, lines, {"mode": "symbolic", "network": net_spec, "pass": ok})
         return 0 if ok else 1
 
-    tasks = _verify_tasks(args, relation, net)
-
-    def run(task):
-        name, trial = task
-        ok, detail = _run_verify_task(relation, net, name, trial, args.seed)
-        return (name, trial), ok, detail
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    failures = [detail for _, ok, detail in results if not ok]
+    # Instances run by carrier name, then trial: the first failure reported
+    # is the first in that order.
+    results = [
+        _run_verify_task(relation, net, name, trial, args.seed)
+        for name in sorted(_VERIFY_CARRIERS[args.mode])
+        for trial in range(args.trials)
+    ]
+    failures = [detail for ok, detail in results if not ok]
     checked = len(results)
     if not failures:
         lines = [f"{args.mode} sweep on {net_spec}: {checked} instances pass"]
@@ -228,12 +217,8 @@ def cmd_counterexample(args) -> int:
 
 def cmd_gen_family(args) -> int:
     name = args.family
-    if name == "triple":
-        relation = rel.family_triple()
-    elif name == "quadruple":
-        relation = rel.family_quadruple()
-    elif name == "quintuple":
-        relation = rel.family_quintuple()
+    if name in _FIXED_FAMILIES:
+        relation = _FIXED_FAMILIES[name]()
     elif name == "interval-exchange":
         base = rel.base_matching(args.p, args.q)
         indices = _int_list(args.pi0)
@@ -356,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; work runs serially")
 
     p = sub.add_parser("check-balance", help="decide balancedness of a collection pair")
     p.add_argument("pair", help="collection pair file")
@@ -387,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-family", help="emit a balanced family as a pair file")
     p.add_argument(
         "family",
-        choices=("triple", "quadruple", "quintuple", "interval-exchange", "tail-fixed", "groebner"),
+        choices=(*_FIXED_FAMILIES, "interval-exchange", "tail-fixed", "groebner"),
     )
     p.add_argument("-p", type=int, default=2, dest="p")
     p.add_argument("-q", type=int, default=1, dest="q")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .flows import FlowFunction, enumerate_flag_flows, undefined_value
+from .flows import FlowFunction, enumerate_flag_flows
 from .matchings import (
     Collection,
     MatchingError,
@@ -26,6 +26,7 @@ from .matchings import (
     is_feasible,
 )
 from .network import PlanarNetwork
+from .relations import _sum_side
 from .semiring import EXACT_INT, Carrier
 
 
@@ -211,15 +212,7 @@ def side_sums(
     f = FlowFunction(gadget.network, weighting, carrier)
 
     def one_side(coll: Collection):
-        total = None
-        for member in coll.members:
-            a = f(member)
-            b = f(aug.complement(member))
-            if a is None or b is None:
-                continue
-            term = carrier.mul(a, b)
-            total = term if total is None else carrier.add(total, term)
-        return undefined_value(carrier) if total is None else total
+        return _sum_side(f, [(member, aug.complement(member)) for member in coll.members])
 
     return one_side(lhs), one_side(rhs), gadget
 

@@ -273,12 +273,12 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     A = ctx.a_set if a_set is None else frozenset(a_set)
     I, J = ctx.index_sets(A)
     target = df.as_dict()
+    seconds = [Counter(psi_prime.edges()) for psi_prime in enumerate_flag_flows(df.network, J)]
     count = 0
     for psi in enumerate_flag_flows(df.network, I):
         c1 = Counter(psi.edges())
-        for psi_prime in enumerate_flag_flows(df.network, J):
-            c2 = c1 + Counter(psi_prime.edges())
-            if c2 == target:
+        for c2 in seconds:
+            if c1 + c2 == target:
                 count += 1
     return count
 

@@ -16,7 +16,6 @@ feed the k-th chosen sink, so both engines use only that pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Mapping, NamedTuple
 
@@ -164,28 +163,8 @@ def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _flag_flows(net: PlanarNetwork, I: tuple[int, ...]) -> tuple[Flow, ...]:
-    if len(I) > len(net.sinks):
-        return ()
-    srcs = tuple(net.sources[i - 1] for i in I)
-    dsts = tuple(net.sinks[: len(I)])
-    sink_ids = tuple(range(1, len(I) + 1))
-    return tuple(
-        Flow(paths=paths, source_indices=I, sink_indices=sink_ids, network=net)
-        for paths in _systems(net, srcs, dsts)
-    )
-
-
-def enumerate_flag_flows(net: PlanarNetwork, I: Iterable[int]) -> tuple[Flow, ...]:
-    """All flag flows for I: disjoint paths from the sources indexed by I to
-    the first |I| sinks.  Empty tuple when none exist; the empty index set has
-    exactly one (empty) flow."""
-    return _flag_flows(net, _check_indices("source", I, len(net.sources)))
-
-
-@lru_cache(maxsize=None)
-def _ij_flows(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...]) -> tuple[Flow, ...]:
+def _listed(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...]) -> tuple[Flow, ...]:
+    """The (I, J)-flows for checked index tuples, listed afresh on each call."""
     srcs = tuple(net.sources[i - 1] for i in I)
     dsts = tuple(net.sinks[j - 1] for j in J)
     return tuple(
@@ -194,13 +173,23 @@ def _ij_flows(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...]) -> tup
     )
 
 
+def enumerate_flag_flows(net: PlanarNetwork, I: Iterable[int]) -> tuple[Flow, ...]:
+    """All flag flows for I: disjoint paths from the sources indexed by I to
+    the first |I| sinks.  Empty tuple when none exist; the empty index set has
+    exactly one (empty) flow."""
+    I = _check_indices("source", I, len(net.sources))
+    if len(I) > len(net.sinks):
+        return ()
+    return _listed(net, I, tuple(range(1, len(I) + 1)))
+
+
 def enumerate_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int]) -> tuple[Flow, ...]:
     """All (I, J)-flows: disjoint paths from sources S_I to sinks T_J."""
     I = _check_indices("source", I, len(net.sources))
     J = _check_indices("sink", J, len(net.sinks))
     if len(I) != len(J):
         raise FlowError("index sets must have equal size")
-    return _ij_flows(net, I, J)
+    return _listed(net, I, J)
 
 
 def flow_weight(net: PlanarNetwork, weighting: Mapping, flow: Flow, carrier: Carrier):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .flows import Flow, enumerate_flag_flows
-from .network import PlanarNetwork, build_half_grid, half_grid_vertex
+from .network import build_half_grid, half_grid_vertex
 from .semiring import Carrier, SemiringError
 
 Interval = tuple[int, int]
@@ -23,11 +22,6 @@ Interval = tuple[int, int]
 
 class LaurentError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _grid(n: int) -> PlanarNetwork:
-    return build_half_grid(n)
 
 
 def intervals(n: int) -> tuple[Interval, ...]:
@@ -44,7 +38,7 @@ def interval_flow(n: int, lo: int, hi: int) -> Flow:
     height k and runs west to the diagonal."""
     if not 1 <= lo <= hi <= n:
         raise LaurentError(f"[{lo}..{hi}] is not a nonempty interval of [{n}]")
-    net = _grid(n)
+    net = build_half_grid(n)
     paths = []
     for k in range(1, hi - lo + 2):
         col = lo + k - 1
@@ -156,7 +150,7 @@ def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     A = frozenset(a_set)
     if not A:
         raise LaurentError("A must be nonempty")
-    net = _grid(n)
+    net = build_half_grid(n)
     flows = enumerate_flag_flows(net, A)
     monos = []
     for flow in flows:

@@ -100,6 +100,7 @@ def instantiate(rel: QuadraticRelation, inst: Instantiation):
 
 
 def _sum_side(f: FlowFunction, pairs):
+    """Sum of f(I) * f(J) over the index-set pairs, as in :func:`evaluate_sides`."""
     carrier = f.carrier
     total = None
     for I, J in pairs:
@@ -109,7 +110,7 @@ def _sum_side(f: FlowFunction, pairs):
             continue
         term = carrier.mul(a, b)
         total = term if total is None else carrier.add(total, term)
-    return total
+    return undefined_value(carrier) if total is None else total
 
 
 def evaluate_sides(f: FlowFunction, rel: QuadraticRelation, inst: Instantiation):
@@ -117,10 +118,7 @@ def evaluate_sides(f: FlowFunction, rel: QuadraticRelation, inst: Instantiation)
     Starred carrier the star propagates instead.  An all-undefined side is
     None (or the carrier zero / star when those exist)."""
     lhs_pairs, rhs_pairs = instantiate(rel, inst)
-    lhs = _sum_side(f, lhs_pairs)
-    rhs = _sum_side(f, rhs_pairs)
-    fallback = undefined_value(f.carrier)
-    return (fallback if lhs is None else lhs, fallback if rhs is None else rhs)
+    return _sum_side(f, lhs_pairs), _sum_side(f, rhs_pairs)
 
 
 def sides_equal(sides) -> bool:

@@ -2,10 +2,11 @@
 
 A :class:`Carrier` bundles the two operations (and optional division) of one
 commutative semiring; the values themselves are ordinary Python objects:
-``int`` for the counting and tropical-integer carriers, ``Fraction`` for the
-rational ones, :class:`Poly` for the polynomial carriers, and the ``STAR``
-sentinel for the adapter that models undefined values.  Everything is exact;
-no floating point appears anywhere.
+``int`` for the integer carriers, ``int`` or ``Fraction`` for the rational
+ones, :class:`Poly` for the polynomial carriers, and the ``STAR`` sentinel for
+the adapter that models undefined values.  Two classes cover the seven
+carriers: ``_Arithmetic`` (ordinary + and *) and ``_Tropical`` (max
+and +).  Everything is exact; no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -40,24 +41,42 @@ class _Star:
 STAR = _Star()
 
 
+def _is_int(a) -> bool:
+    return isinstance(a, int) and not isinstance(a, bool)
+
+
+def _is_rational(a) -> bool:
+    return isinstance(a, (int, Fraction)) and not isinstance(a, bool)
+
+
 class Carrier:
     """Operations of one commutative semiring.
 
-    Subclasses provide the membership test and the raw ``_add``/``_mul``
-    (plus ``_div``/``_neg`` where supported); this base class layers the
-    operand checking and the derived operations on top.
+    An instance is described by its name, membership test, text parser and
+    renderer, its identities (None where the semiring has none) and whether
+    it has additive inverses or division.  Subclasses provide the raw
+    ``_add``/``_mul`` (plus ``_div``/``_neg`` where supported); this base
+    class layers the operand checking and the derived operations on top.
     """
 
-    name = "carrier"
-    zero = None
-    one = None
-    has_zero = False
-    has_one = False
-    has_div = False
-    is_ring = False
+    def __init__(self, name, contains, parse, render=str, *, zero=None, one=None,
+                 is_ring=False, has_div=False):
+        self.name = name
+        self.contains = contains
+        self._parse = parse
+        self.render = render
+        self.zero = zero
+        self.one = one
+        self.is_ring = is_ring
+        self.has_div = has_div
 
-    def contains(self, a) -> bool:
-        raise NotImplementedError
+    @property
+    def has_zero(self) -> bool:
+        return self.zero is not None
+
+    @property
+    def has_one(self) -> bool:
+        return self.one is not None
 
     def check(self, *values) -> None:
         for a in values:
@@ -98,17 +117,6 @@ class Carrier:
             acc = self._add(acc, a)
         return acc
 
-    def sum(self, values: Iterable):
-        """Fold of add; empty iterables need an additive identity."""
-        acc = None
-        for v in values:
-            acc = v if acc is None else self.add(acc, v)
-        if acc is None:
-            if not self.has_zero:
-                raise SemiringError(f"empty sum is undefined in {self.name}")
-            return self.zero
-        return acc
-
     def product(self, values: Iterable):
         acc = None
         for v in values:
@@ -119,55 +127,18 @@ class Carrier:
             return self.one
         return acc
 
-    def render(self, a) -> str:
-        raise NotImplementedError
-
     def parse(self, text: str):
-        raise NotImplementedError
+        value = self._parse(text)
+        self.check(value)
+        return value
 
     def __repr__(self):
         return self.name
 
 
-class CountingNat(Carrier):
-    """Natural numbers under ordinary + and *."""
-
-    name = "nat"
-    zero = 0
-    one = 1
-    has_zero = True
-    has_one = True
-
-    def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool) and a >= 0
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def render(self, a):
-        return str(a)
-
-    def parse(self, text):
-        value = int(text)
-        self.check(value)
-        return value
-
-
-class ExactInt(Carrier):
-    """The ring of integers."""
-
-    name = "int"
-    zero = 0
-    one = 1
-    has_zero = True
-    has_one = True
-    is_ring = True
-
-    def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool)
+class _Arithmetic(Carrier):
+    """Values under the ordinary + and * (and - in a ring, / with division):
+    naturals, integers, positive rationals and polynomials."""
 
     def _add(self, a, b):
         return a + b
@@ -178,94 +149,29 @@ class ExactInt(Carrier):
     def _neg(self, a):
         return -a
 
-    def render(self, a):
-        return str(a)
-
-    def parse(self, text):
-        return int(text)
-
-
-class PositiveRational(Carrier):
-    """Positive rationals under + and *; division available, no zero."""
-
-    name = "posrat"
-    one = Fraction(1)
-    has_one = True
-    has_div = True
-
-    def contains(self, a):
-        return isinstance(a, (int, Fraction)) and not isinstance(a, bool) and a > 0
-
-    def _add(self, a, b):
-        return Fraction(a) + Fraction(b)
-
-    def _mul(self, a, b):
-        return Fraction(a) * Fraction(b)
-
     def _div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
-    def render(self, a):
-        return str(Fraction(a))
-
-    def parse(self, text):
-        value = Fraction(text)
-        self.check(value)
-        return value
+        return Fraction(a) / b
 
 
-class TropicalInt(Carrier):
-    """Integers under max and +; division is subtraction. Idempotent addition."""
+class _Tropical(Carrier):
+    """Values under max and +; division is subtraction.  Idempotent addition,
+    no additive identity."""
 
-    name = "tropint"
-    one = 0
-    has_one = True
-    has_div = True
-
-    def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool)
+    def __init__(self, name, contains, parse, one):
+        super().__init__(name, contains, parse, one=one, has_div=True)
+        # max of equal values returns its first argument, so without this a
+        # tie between 2 and Fraction(2) would give a result whose type
+        # depends on the order of summation.
+        self._normal = type(one)
 
     def _add(self, a, b):
-        return a if a >= b else b
+        return self._normal(a if a >= b else b)
 
     def _mul(self, a, b):
         return a + b
 
     def _div(self, a, b):
         return a - b
-
-    def render(self, a):
-        return str(a)
-
-    def parse(self, text):
-        return int(text)
-
-
-class TropicalRational(Carrier):
-    """Rationals under max and +; division is subtraction."""
-
-    name = "troprat"
-    one = Fraction(0)
-    has_one = True
-    has_div = True
-
-    def contains(self, a):
-        return isinstance(a, (int, Fraction)) and not isinstance(a, bool)
-
-    def _add(self, a, b):
-        return Fraction(max(a, b))
-
-    def _mul(self, a, b):
-        return Fraction(a) + Fraction(b)
-
-    def _div(self, a, b):
-        return Fraction(a) - Fraction(b)
-
-    def render(self, a):
-        return str(Fraction(a))
-
-    def parse(self, text):
-        return Fraction(text)
 
 
 def _mono_mul(m1, m2):
@@ -334,12 +240,6 @@ class Poly:
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()})
 
-    def __pow__(self, n: int):
-        acc = Poly.const(1)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -348,9 +248,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render_poly(self)!r})"
-
-    def variables(self):
-        return sorted({var for mono in self.terms for var, _ in mono})
 
     def evaluate(self, env, carrier: Carrier):
         """Substitute carrier values for the variables and reduce.
@@ -413,66 +310,6 @@ def parse_poly(text: str) -> Poly:
     return Poly(terms)
 
 
-class PolyNat(Carrier):
-    """Multivariate polynomials with natural coefficients.
-
-    The universal verification carrier: identities that hold here hold under
-    every substitution into every commutative semiring.
-    """
-
-    name = "polynat"
-    zero = Poly()
-    one = Poly.const(1)
-    has_zero = True
-    has_one = True
-
-    def contains(self, a):
-        return isinstance(a, Poly) and a.nonneg
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def render(self, a):
-        return render_poly(a)
-
-    def parse(self, text):
-        value = parse_poly(text)
-        self.check(value)
-        return value
-
-
-class PolyInt(Carrier):
-    """Multivariate polynomials with integer coefficients; a commutative ring."""
-
-    name = "polyint"
-    zero = Poly()
-    one = Poly.const(1)
-    has_zero = True
-    has_one = True
-    is_ring = True
-
-    def contains(self, a):
-        return isinstance(a, Poly)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def render(self, a):
-        return render_poly(a)
-
-    def parse(self, text):
-        return parse_poly(text)
-
-
 class Starred(Carrier):
     """Adapter adding the extra neutral element ``STAR`` to a carrier.
 
@@ -481,14 +318,15 @@ class Starred(Carrier):
     """
 
     def __init__(self, inner: Carrier):
+        super().__init__(
+            f"starred({inner.name})",
+            lambda a: a is STAR or inner.contains(a),
+            lambda text: STAR if text.strip() == "*" else inner.parse(text),
+            lambda a: "*" if a is STAR else inner.render(a),
+            one=inner.one,
+            has_div=inner.has_div,
+        )
         self.inner = inner
-        self.name = f"starred({inner.name})"
-        self.one = inner.one
-        self.has_one = inner.has_one
-        self.has_div = inner.has_div
-
-    def contains(self, a):
-        return a is STAR or self.inner.contains(a)
 
     def _add(self, a, b):
         if a is STAR:
@@ -509,20 +347,25 @@ class Starred(Carrier):
             return STAR
         return self.inner._div(a, b)
 
-    def render(self, a):
-        return "*" if a is STAR else self.inner.render(a)
 
-    def parse(self, text):
-        return STAR if text.strip() == "*" else self.inner.parse(text)
-
-
-COUNTING_NAT = CountingNat()
-EXACT_INT = ExactInt()
-POSITIVE_RATIONAL = PositiveRational()
-TROPICAL_INT = TropicalInt()
-TROPICAL_RATIONAL = TropicalRational()
-POLY_NAT = PolyNat()
-POLY_INT = PolyInt()
+COUNTING_NAT = _Arithmetic("nat", lambda a: _is_int(a) and a >= 0, int, zero=0, one=1)
+EXACT_INT = _Arithmetic("int", _is_int, int, zero=0, one=1, is_ring=True)
+POSITIVE_RATIONAL = _Arithmetic(
+    "posrat", lambda a: _is_rational(a) and a > 0, Fraction, one=Fraction(1), has_div=True
+)
+TROPICAL_INT = _Tropical("tropint", _is_int, int, one=0)
+TROPICAL_RATIONAL = _Tropical("troprat", _is_rational, Fraction, one=Fraction(0))
+# Polynomials with natural coefficients are the universal verification
+# carrier: identities that hold there hold under every substitution into
+# every commutative semiring.
+POLY_NAT = _Arithmetic(
+    "polynat", lambda a: isinstance(a, Poly) and a.nonneg, parse_poly, render_poly,
+    zero=Poly(), one=Poly.const(1),
+)
+POLY_INT = _Arithmetic(
+    "polyint", lambda a: isinstance(a, Poly), parse_poly, render_poly,
+    zero=Poly(), one=Poly.const(1), is_ring=True,
+)
 
 CARRIERS = {
     c.name: c

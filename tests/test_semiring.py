@@ -215,3 +215,45 @@ def test_starred_render_roundtrip():
     assert carrier.render(STAR) == "*"
     assert carrier.parse("*") is STAR
     assert carrier.parse("3/2") == Fraction(3, 2)
+
+
+# name, zero, one, has_zero, has_one, has_div, is_ring; identities as (value, type)
+CONTRACT = {
+    "nat": ((0, int), (1, int), True, True, False, False),
+    "int": ((0, int), (1, int), True, True, False, True),
+    "posrat": (None, (Fraction(1), Fraction), False, True, True, False),
+    "tropint": (None, (0, int), False, True, True, False),
+    "troprat": (None, (Fraction(0), Fraction), False, True, True, False),
+    "polynat": ((Poly(), Poly), (Poly.const(1), Poly), True, True, False, False),
+    "polyint": ((Poly(), Poly), (Poly.const(1), Poly), True, True, False, True),
+}
+
+
+def _identity(value):
+    return None if value is None else (value, type(value))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_carrier_contract(name):
+    zero, one, has_zero, has_one, has_div, is_ring = CONTRACT[name]
+    carrier = CARRIERS[name]
+    assert carrier.name == name
+    assert (_identity(carrier.zero), _identity(carrier.one)) == (zero, one)
+    assert (carrier.has_zero, carrier.has_one, carrier.has_div, carrier.is_ring) == (
+        has_zero, has_one, has_div, is_ring
+    )
+    starred = Starred(carrier)
+    assert starred.name == f"starred({name})"
+    assert (_identity(starred.zero), _identity(starred.one)) == (None, one)
+    assert (starred.has_zero, starred.has_one, starred.has_div, starred.is_ring) == (
+        False, has_one, has_div, False
+    )
+
+
+def test_carrier_contract_operand_types():
+    with pytest.raises(CarrierMismatch):
+        COUNTING_NAT.add(True, 1)
+    for a, b in ((2, Fraction(2)), (Fraction(2), 2)):
+        assert type(TROPICAL_RATIONAL.add(a, b)) is Fraction
+    for value in (TROPICAL_INT.add(2, 3), TROPICAL_INT.mul(2, 3), TROPICAL_INT.div(2, 3)):
+        assert type(value) is int
