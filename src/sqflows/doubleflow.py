@@ -11,7 +11,7 @@ marks the positions of the first flow inside Y.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .flows import Flow, enumerate_flag_flows
 from .matchings import NestedMatching, is_feasible
@@ -267,19 +267,28 @@ def decompose(df: DoubleFlow) -> Decomposition:
 
 
 def count_decompositions(df: DoubleFlow, a_set=None) -> int:
-    """Number of flag-flow pairs for (I(A), J(A)) whose superposition is xi,
-    by brute force over both enumerations."""
+    """Number of flag-flow pairs for (I(A), J(A)) whose superposition is xi.
+
+    Such a pair uses only edges of xi, so both index sets are listed in the
+    subnetwork of xi's edges.  A listed I-flow psi is matched when xi - psi
+    is a 0/1 edge set, which is then looked up among the J-flows' edge sets;
+    no two J-flows share an edge set."""
     ctx = df.context
     A = ctx.a_set if a_set is None else frozenset(a_set)
     I, J = ctx.index_sets(A)
-    target = df.as_dict()
-    seconds = [Counter(psi_prime.edges()) for psi_prime in enumerate_flag_flows(df.network, J)]
+    net, xi = df.network, df.as_dict()
+    sub = replace(
+        net,
+        edges=tuple(e for e in net.edges if e in xi),
+        edge_kinds=tuple(kind for e, kind in zip(net.edges, net.edge_kinds) if e in xi),
+    )
+    singles, doubles = frozenset(df.level_edges(1)), frozenset(df.level_edges(2))
+    seconds = {frozenset(psi_prime.edges()) for psi_prime in enumerate_flag_flows(sub, J)}
     count = 0
-    for psi in enumerate_flag_flows(df.network, I):
-        c1 = Counter(psi.edges())
-        for c2 in seconds:
-            if c1 + c2 == target:
-                count += 1
+    for psi in enumerate_flag_flows(sub, I):
+        used = frozenset(psi.edges())
+        if doubles <= used and (singles - used) | doubles in seconds:
+            count += 1
     return count
 
 

@@ -6,9 +6,8 @@ labelled partial path systems without listing them, using only the carrier's
 addition and multiplication.  Enumeration lists the flows themselves, for the
 commands and modules that need every flow (``flows``, double flows, Laurent
 expansion, gadget checks); it is backtracking over sink-ordered path
-extension with reachability pruning.  Both run on one compiled form of the
-network (topological positions, successor tuples, reachability bitmasks)
-that is built on first use and kept on the network.  Planarity plus the
+extension with reachability pruning.  Both run on the network's compiled
+form (``PlanarNetwork.form``) and share one terminal rule.  Planarity plus the
 boundary order of the terminals force the k-th smallest chosen source to
 feed the k-th chosen sink, so both engines use only that pairing.
 """
@@ -17,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
-from .network import SPLIT, PlanarNetwork
+from .network import SPLIT, NetworkForm, PlanarNetwork
 from .semiring import STAR, Carrier, CarrierMismatch, SemiringError, Starred
 
 
@@ -47,108 +46,66 @@ class Flow:
         return frozenset(v for path in self.paths for v in path)
 
 
-class _Form(NamedTuple):
-    """A network compiled for the sweep and the enumerator.
-
-    Positions number the vertices in a topological order; ``index`` maps a
-    vertex to its position, which is also its bit in the ``ancestors`` masks.
-    ``charge`` is the weighting key a path pays at each position and
-    ``edge_charge`` the key it pays along each successor edge: vertex weights
-    on an unsplit network, split-edge weights keyed by the original vertex on
-    a split one; None where nothing is paid."""
-
-    index: dict[str, int]
-    succ: tuple[tuple[int, ...], ...]  # successor positions, in net.out order
-    ancestors: tuple[int, ...]  # positions each position is reachable from, itself included
-    charge: tuple
-    edge_charge: tuple
-    keys: frozenset  # every weighting key the network charges
-
-
-def _compile(net: PlanarNetwork) -> _Form:
-    vertices = tuple(dict.fromkeys(net.vertices))
-    indeg = {v: 0 for v in vertices}
-    for v in vertices:
-        for u in net.out(v):
-            indeg[u] += 1
-    order = [v for v in vertices if indeg[v] == 0]
-    for v in order:  # the list grows while it is walked: a FIFO Kahn order
-        for u in net.out(v):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                order.append(u)
-    if len(order) != len(vertices):
-        raise FlowError("network contains a directed cycle")
-    index = {v: p for p, v in enumerate(order)}
-    succ = tuple(tuple(index[u] for u in net.out(v)) for v in order)
-    ancestors = [1 << p for p in range(len(order))]
-    for p, after in enumerate(succ):
-        for u in after:
-            ancestors[u] |= ancestors[p]
-    if net.is_split:
-        charge = (None,) * len(order)
-        edge_charge = tuple(
-            tuple(net.origin_of(v) if net.kind((v, u)) == SPLIT else None for u in net.out(v))
-            for v in order
-        )
-    else:
-        charge = tuple(order)
-        edge_charge = tuple((None,) * len(after) for after in succ)
-    keys = {k for k in charge if k is not None}
-    keys.update(k for ks in edge_charge for k in ks if k is not None)
-    return _Form(index, succ, tuple(ancestors), charge, edge_charge, frozenset(keys))
-
-
-def _compiled(net: PlanarNetwork) -> _Form:
-    """The compiled form of ``net``, built on first use and kept on the
-    (frozen) instance, so that it lives exactly as long as the network."""
-    form = net.__dict__.get("_form")
+def _form(net: PlanarNetwork) -> NetworkForm:
+    form = net.form
     if form is None:
-        form = _compile(net)
-        object.__setattr__(net, "_form", form)
+        raise FlowError("network contains a directed cycle")
     return form
+
+
+def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
+    """The terminal rule of the sweep and the enumerator, for paths
+    srcs[k] -> dsts[k]: raises FlowError unless every terminal is a vertex,
+    and returns None when two paths share a terminal or a sink is out of its
+    source's reach, since then no path system exists.  Otherwise returns the
+    source and sink positions and, per path, the mask of the positions it may
+    use: those that reach its sink and are no other path's terminal."""
+    form = _form(net)
+    index, ancestors = form.index, form.ancestors
+    for v in srcs + dsts:
+        if v not in index:
+            raise FlowError(f"terminal {v!r} is not a vertex")
+    starts = [index[v] for v in srcs]
+    ends = [index[v] for v in dsts]
+    terminals = set(starts + ends)
+    shared = len(terminals) < 2 * len(starts) - sum(s == t for s, t in zip(starts, ends))
+    if shared or any(not ancestors[t] >> s & 1 for s, t in zip(starts, ends)):
+        return None
+    bits = sum(1 << p for p in terminals)
+    return starts, ends, [ancestors[t] & ~(bits & ~(1 << t)) for t in ends]
 
 
 def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     """All disjoint path systems pairing srcs[k] -> dsts[k], in lexicographic
     order of the vertex sequences."""
-    form = _compiled(net)
-    index, ancestors = form.index, form.ancestors
-    for v in srcs + dsts:
-        if v not in index:
-            raise FlowError(f"terminal {v!r} is not a vertex")
-    m = len(srcs)
-    future = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        future[k] = future[k + 1] | (1 << index[srcs[k]]) | (1 << index[dsts[k]])
+    plan = _plan(net, srcs, dsts)
+    if plan is None:
+        return
+    starts, ends, allowed = plan
+    order, succ = net.order, net.form.succ
+    m = len(starts)
 
     def go(k: int, used: int):
         if k == m:
             yield ()
             return
-        s, t = srcs[k], dsts[k]
-        sbit, tbit = 1 << index[s], 1 << index[t]
-        reaches_t = ancestors[index[t]]
-        blocked = used | future[k + 1]
-        if blocked & sbit or blocked & tbit or not reaches_t & sbit:
-            return
-        path = [s]
+        t, mask = ends[k], allowed[k]
+        path = [order[starts[k]]]
 
-        def extend(v: str, taken: int):
-            if v == t:
+        def extend(p: int, taken: int):
+            if p == t:
                 frozen = tuple(path)
                 for rest in go(k + 1, taken):
                     yield (frozen,) + rest
                 return
-            for u in net.out(v):
-                ubit = 1 << index[u]
-                if (taken | blocked) & ubit or not reaches_t & ubit:
-                    continue
-                path.append(u)
-                yield from extend(u, taken | ubit)
-                path.pop()
+            free = mask & ~taken
+            for u in succ[p]:
+                if free >> u & 1:
+                    path.append(order[u])
+                    yield from extend(u, taken | 1 << u)
+                    path.pop()
 
-        yield from extend(s, used | sbit)
+        yield from extend(starts[k], used | 1 << starts[k])
 
     yield from go(0, 0)
 
@@ -250,6 +207,15 @@ def _charge_value(weighting: Mapping, key, carrier: Carrier):
     return value
 
 
+def _charged(net: PlanarNetwork, weighting: Mapping, carrier: Carrier) -> tuple:
+    """Per position of the compiled form, the checked weight a path pays
+    there: None where nothing is paid, a _Fault where the weight is missing
+    or not a carrier element."""
+    return tuple(
+        None if key is None else _charge_value(weighting, key, carrier) for key in _form(net).charge
+    )
+
+
 def _guarded(op):
     """``op`` passing faults through."""
 
@@ -266,88 +232,57 @@ def _guarded(op):
 _ABSENT = object()
 
 
-def _flow_sum(net: PlanarNetwork, weighting: Mapping, srcs, dsts, carrier: Carrier):
+def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
     """Sum over the disjoint path systems srcs[k] -> dsts[k] of their weight
-    products, or None when there is no such system.
+    products, or None when there is no such system; ``paid`` comes from
+    :func:`_charged`.
 
     A frontier sweep over the vertices in topological order (the
     transfer-matrix method).  A state holds, for each path label k, the
-    position that path k has claimed as its next step, or -1 while path k is
-    not active.  A selected source opens its path; a claimed vertex is paid
-    for and either closes its path at the path's own sink or claims an
-    unclaimed successor that reaches that sink and is not a selected terminal
-    of another path.  So no path ever claims a selected source or another
-    path's sink, and when the sweep reaches a selected sink every live state
-    has claimed it: nothing needs dropping.  Only reachable states are kept:
-    "no system" is the absence of the final state, not a zero, which carriers
-    without zero and ``Starred`` need.  Labels keep the k-th source paired
-    with the k-th sink, as in enumeration.  Only the raw carrier operations
-    run inside; every weight is checked once, on the way in."""
-    form = _compiled(net)
-    index = form.index
-    for v in srcs + dsts:
-        if v not in index:
-            raise FlowError(f"terminal {v!r} is not a vertex")
-    m = len(srcs)
+    position that path k has claimed as its next step, or -1 once path k is
+    done; the first state claims every source.  A claimed position is paid
+    for (vertex weights on an unsplit network, the weight of v at v' on a
+    split one) and then either closes its path at the path's own sink or
+    claims an unclaimed successor that the terminal rule of :func:`_plan`
+    allows.  So no path ever claims another path's terminal, and when the
+    sweep reaches a selected sink every live state has claimed it: nothing
+    needs dropping.  Only reachable states are kept: "no system" is the
+    absence of the final state, not a zero, which carriers without zero and
+    ``Starred`` need.  Labels keep the k-th source paired with the k-th sink,
+    as in enumeration.  Only the raw carrier operations run inside."""
+    plan = _plan(net, srcs, dsts)
+    if plan is None:
+        return None
+    starts, ends, allowed = plan
+    m = len(starts)
     if m == 0:
         return carrier.product(())
-    starts = [index[v] for v in srcs]
-    ends = [index[v] for v in dsts]
-    ancestors = form.ancestors
-    own = sum(s == t for s, t in zip(starts, ends))  # paths that are a single vertex
-    if len(set(starts + ends)) < 2 * m - own or any(
-        not ancestors[t] >> s & 1 for s, t in zip(starts, ends)
-    ):
-        return None  # a terminal shared by two paths, or a sink out of reach
-    terminals = 0
-    for p in starts + ends:
-        terminals |= 1 << p
-    # the positions path k may claim: they reach its sink and are no other
-    # path's terminal
-    allowed = [ancestors[t] & ~(terminals & ~(1 << t)) for t in ends]
-
-    values = {key: _charge_value(weighting, key, carrier) for key in form.keys}
-    values[None] = None
     mul, add = carrier._mul, carrier._add
-    if any(type(v) is _Fault for v in values.values()):
+    if any(type(v) is _Fault for v in paid):
         mul, add = _guarded(mul), _guarded(add)
-    succ, charge, edge_charge = form.succ, form.charge, form.edge_charge
-    opens = dict(zip(starts, range(m)))
+    succ = net.form.succ
 
     # A value is None, the empty product, only until its first payment.  Two
     # unpaid partial systems never meet: on an unsplit network a path pays at
-    # its source, and on a split one its only way on from the source crosses
-    # a split-edge.
-    states = {(-1,) * m: None}
+    # its source, and on a split one its only way on from the source is v',
+    # where it pays.
+    states = {tuple(starts): None}
     for p in range(min(starts), max(ends) + 1):
-        opened = opens.get(p)
-        if opened is not None:
-            hit = states.items()
-            states = {}
-        else:
-            claimed = [s for s in states if p in s]
-            if not claimed:
-                continue
-            hit = [(s, states.pop(s)) for s in claimed]
-        w = values[charge[p]]
-        for state, val in hit:
-            k = state.index(p) if opened is None else opened
+        w = paid[p]
+        for state in [s for s in states if p in s]:
+            val = states.pop(state)
             if w is not None:
                 val = w if val is None else mul(val, w)
+            k = state.index(p)
             if p == ends[k]:
-                key = state[:k] + (-1,) + state[k + 1 :]
-                old = states.get(key, _ABSENT)
-                states[key] = val if old is _ABSENT else add(old, val)
-                continue
-            mask = allowed[k]
-            for u, c in zip(succ[p], edge_charge[p]):
-                if not mask >> u & 1 or u in state:
-                    continue
-                c = values[c]
-                nv = val if c is None else c if val is None else mul(val, c)
+                moves = (-1,)
+            else:
+                mask = allowed[k]
+                moves = [u for u in succ[p] if mask >> u & 1 and u not in state]
+            for u in moves:
                 key = state[:k] + (u,) + state[k + 1 :]
                 old = states.get(key, _ABSENT)
-                states[key] = nv if old is _ABSENT else add(old, nv)
+                states[key] = val if old is _ABSENT else add(old, val)
 
     total = states.get((-1,) * m)
     if type(total) is _Fault:
@@ -360,27 +295,32 @@ def evaluate_fgf(net: PlanarNetwork, weighting: Mapping, I: Iterable[int], carri
     computed by the frontier sweep without listing the flows.
 
     Returns the undefined marker of the carrier when no flow exists."""
-    I = _check_indices("source", I, len(net.sources))
-    if len(I) > len(net.sinks):
-        return undefined_value(carrier)
-    srcs = tuple(net.sources[i - 1] for i in I)
-    total = _flow_sum(net, weighting, srcs, net.sinks[: len(I)], carrier)
-    return undefined_value(carrier) if total is None else total
+    return FlowFunction(net, weighting, carrier)(_check_indices("source", I, len(net.sources)))
 
 
 class FlowFunction:
-    """Memoized f(I) for one (network, weighting, carrier) triple."""
+    """Memoized f(I) for one (network, weighting, carrier) triple.  The
+    weighting is checked once, on the first call that reaches the sweep."""
 
     def __init__(self, net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
         self.network = net
         self.weighting = dict(weighting)
         self.carrier = carrier
         self._memo = {}
+        self._paid = None
 
     def __call__(self, I: Iterable[int]):
         key = frozenset(I)
         if key not in self._memo:
-            self._memo[key] = evaluate_fgf(self.network, self.weighting, key, self.carrier)
+            net, carrier = self.network, self.carrier
+            I = _check_indices("source", key, len(net.sources))
+            total = None
+            if len(I) <= len(net.sinks):
+                if self._paid is None:
+                    self._paid = _charged(net, self.weighting, carrier)
+                srcs = tuple(net.sources[i - 1] for i in I)
+                total = _flow_sum(net, self._paid, srcs, net.sinks[: len(I)], carrier)
+            self._memo[key] = undefined_value(carrier) if total is None else total
         return self._memo[key]
 
 
@@ -392,11 +332,12 @@ def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
     n = len(net.sources)
     if len(net.sinks) != n:
         raise FlowError("path matrix needs equally many sources and sinks")
+    paid = _charged(net, weighting, carrier)
     rows = []
     for j in range(1, n + 1):
         row = []
         for i in range(1, n + 1):
-            total = _flow_sum(net, weighting, (net.sources[i - 1],), (net.sinks[j - 1],), carrier)
+            total = _flow_sum(net, paid, (net.sources[i - 1],), (net.sinks[j - 1],), carrier)
             row.append(carrier.zero if total is None else total)
         rows.append(tuple(row))
     return tuple(rows)

@@ -1,4 +1,5 @@
-"""Planar acyclic networks: data model, half-grid builder, vertex split.
+"""Planar acyclic networks: data model, compiled form, half-grid builder,
+vertex split.
 
 Vertex ids are opaque strings (no whitespace).  Planarity of user-supplied
 graphs is declared, never verified; the library builders are planar by
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 
 class NetworkError(ValueError):
@@ -18,6 +21,23 @@ class NetworkError(ValueError):
 ORDINARY = "ordinary"
 SPLIT = "split"
 EXTRA = "extra"
+
+
+class NetworkForm(NamedTuple):
+    """An acyclic network compiled for the flow sweep and the enumerator.
+
+    Positions number the vertices in :attr:`PlanarNetwork.order`; ``index``
+    maps a vertex to its position, which is also its bit in the ``ancestors``
+    masks.  ``charge`` is the weighting key a path pays at each position, or
+    None: every vertex of an unsplit network pays its own weight; on a split
+    network the weight of an original vertex v is paid at v', the tail of
+    v's split-edge.  :func:`vertex_split` gives v' one out-edge and never
+    makes it a sink, so every path through v' crosses that split-edge."""
+
+    index: dict[str, int]
+    succ: tuple[tuple[int, ...], ...]  # successor positions, in out() order
+    ancestors: tuple[int, ...]  # positions each position is reachable from, itself included
+    charge: tuple
 
 
 @dataclass(frozen=True)
@@ -47,7 +67,6 @@ class PlanarNetwork:
                 inc[head].append(tail)
         object.__setattr__(self, "_out", {v: tuple(sorted(ns)) for v, ns in out.items()})
         object.__setattr__(self, "_in", {v: tuple(sorted(ns)) for v, ns in inc.items()})
-        object.__setattr__(self, "_vset", frozenset(self.vertices))
         object.__setattr__(self, "_kind", dict(zip(self.edges, self.edge_kinds)))
         object.__setattr__(self, "_origin", dict(self.origins))
 
@@ -66,6 +85,43 @@ class PlanarNetwork:
 
     def origin_of(self, v: str) -> str | None:
         return self._origin.get(v)
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """The distinct vertices in Kahn order (Kahn 1962), each after all of
+        its predecessors.  Kahn's sweep never places a vertex on a directed
+        cycle or downstream of one, so the order is shorter than the vertex
+        set exactly when the network has a cycle."""
+        indeg = {v: len(preds) for v, preds in self._in.items()}
+        order = [v for v, d in indeg.items() if d == 0]
+        for v in order:  # the list grows while it is walked: a FIFO Kahn order
+            for u in self.out(v):
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    order.append(u)
+        return tuple(order)
+
+    @cached_property
+    def form(self) -> NetworkForm | None:
+        """The compiled form, built on first use and kept for the life of the
+        network; None when the network has a directed cycle."""
+        order = self.order
+        if len(order) < len(self._in):  # _in has one key per distinct vertex
+            return None
+        index = {v: p for p, v in enumerate(order)}
+        succ = tuple(tuple(index[u] for u in self.out(v)) for v in order)
+        ancestors = [1 << p for p in range(len(order))]
+        for p, after in enumerate(succ):
+            for u in after:
+                ancestors[u] |= ancestors[p]
+        if self.is_split:
+            charge = tuple(
+                self.origin_of(v) if any(self.kind((v, u)) == SPLIT for u in self.out(v)) else None
+                for v in order
+            )
+        else:
+            charge = order
+        return NetworkForm(index, succ, tuple(ancestors), charge)
 
     def original_vertices(self) -> tuple[str, ...]:
         """Pre-split vertex ids, in their original order, for split networks."""
@@ -205,41 +261,6 @@ def vertex_split(net: PlanarNetwork) -> PlanarNetwork:
     )
 
 
-def _find_cycle(net: PlanarNetwork) -> list[str] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in net.vertices}
-    parent: dict[str, str] = {}
-    for root in net.vertices:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(net.out(root)))]
-        color[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u not in color:
-                    continue
-                if color[u] == WHITE:
-                    color[u] = GRAY
-                    parent[u] = v
-                    stack.append((u, iter(net.out(u))))
-                    advanced = True
-                    break
-                if color[u] == GRAY:
-                    cycle = [u, v]
-                    w = v
-                    while w != u:
-                        w = parent[w]
-                        cycle.append(w)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return None
-
-
 def validate(net: PlanarNetwork) -> list[str]:
     """Structural violations as human-readable strings; empty means accepted.
 
@@ -278,8 +299,20 @@ def validate(net: PlanarNetwork) -> list[str]:
         edge_seen.add((tail, head))
     if net.edge_kinds and len(net.edge_kinds) != len(net.edges):
         problems.append("edge kind list does not match edge list")
-    cycle = _find_cycle(net)
-    if cycle:
+    placed = set(net.order)
+    left = [v for v in dict.fromkeys(net.vertices) if v not in placed]
+    if left:
+        # Each vertex Kahn's order left out has a left-out predecessor, so
+        # walking back from one must repeat a vertex; the walk from there on,
+        # reversed, is a cycle, reported from its first vertex in `vertices`.
+        rank = {v: r for r, v in enumerate(left)}
+        walk, visited = [left[0]], set()
+        while walk[-1] not in visited:
+            visited.add(walk[-1])
+            walk.append(next(u for u in net.into(walk[-1]) if u in rank))
+        cycle = walk[walk.index(walk[-1]) : -1][::-1]
+        first = cycle.index(min(cycle, key=rank.get))
+        cycle = cycle[first:] + cycle[: first + 1]
         problems.append("cycle: " + " -> ".join(cycle))
     return problems
 

@@ -1,0 +1,162 @@
+"""Byte-exact stdout of a fixed set of fast CLI commands.
+
+Each case runs in a fresh working directory holding the input files written
+by ``_write_inputs``; the expected exit code and stdout are what the CLI
+printed when the table was recorded.  Long outputs are pinned by their
+sha256.  After a deliberate output change, print the new table with
+``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
+and review the difference before pasting it in.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from sqflows.cli import main
+
+BALANCED = "2 1\n1 3\n--\n1 2\n2 3\n"
+UNBALANCED = "2 1\n1 2\n--\n1 3\n"
+INT_WEIGHTS = "".join(f"{i},{j} {i * 3 + j - 4}\n" for i in range(1, 5) for j in range(1, i + 1))
+POLY_WEIGHTS = "1,1 a\n2,1 b\n2,2 2·a·b\n3,1 c + 1\n3,2 a^2\n3,3 b + c\n"
+
+# Pair files made by `gen-family`, and a copy of each with the last
+# right-hand subset dropped, which is unbalanced.
+GENERATED = {
+    "quintuple": ["gen-family", "quintuple"],
+    "interval": ["gen-family", "interval-exchange", "-p", "3", "-q", "2", "--pi0", "1,2"],
+}
+
+CASES = [
+    # README examples
+    "check-balance pair.txt",
+    "enumerate-matchings -p 2 -q 1 -A 1,3",
+    "verify family:triple --mode symbolic --network halfgrid:4",
+    "verify pair.txt --mode tropical --trials 25 --seed 7",
+    "counterexample unbalanced.txt --network-out gadget.net",
+    "gen-family interval-exchange -p 3 -q 2 --pi0 1,2",
+    "laurent -n 3 -A 1,3",
+    "lindstrom --network halfgrid:3",
+    "flows --network halfgrid:3 -I 1,3",
+    "doubleflow-audit --network halfgrid:4 -I 1,4 -J 2,4 --phi 0 --phi-prime 1",
+    # verify in every mode, passing and failing
+    "verify family:quadruple --mode symbolic --network halfgrid:5",
+    "verify family:quadruple --mode symbolic --network halfgrid:5 --format json",
+    "verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3",
+    "verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3 --format json",
+    "verify family:triple --mode tropical --network halfgrid:5 --trials 6 --seed 1",
+    "verify family:triple --mode tropical --network halfgrid:5 --trials 6 --seed 1 --format json",
+    "verify unbalanced.txt --mode symbolic",
+    "verify unbalanced.txt --mode numeric --trials 5 --seed 2",
+    "verify unbalanced.txt --mode tropical --trials 5 --seed 2 --format json",
+    # the path matrix
+    "lindstrom --network halfgrid:4 --carrier int --weights int.w",
+    "lindstrom --network halfgrid:4 --carrier int --weights int.w --format json",
+    "lindstrom --network halfgrid:3 --carrier polyint",
+    "lindstrom --network halfgrid:3 --carrier polyint --weights poly.w",
+    "lindstrom --network halfgrid:3 --carrier polyint --weights poly.w --format json",
+    # listings
+    "flows --network halfgrid:5 -I 1,3,5",
+    "flows --network halfgrid:5 -I 1,3,5 --format json",
+    "flows --network halfgrid:5 -I 2,4 -J 1,3",
+    "flows --network halfgrid:5 -I 4 -J 2 --format json",
+    "doubleflow-audit --network halfgrid:6 -I 1,3,6 -J 2,4 --phi 1 --phi-prime 1",
+    "doubleflow-audit --network halfgrid:6 -I 1,4,6 -J 2,3,5 --phi 1 --phi-prime 2",
+    "doubleflow-audit --network halfgrid:6 -I 1,3,5 -J 2,4,6 --phi 3 --phi-prime 1 --format json",
+    "laurent -n 5 -A 1,3,4",
+    "laurent -n 5 -A 2,4 --format json",
+    # generated pairs
+    "check-balance quintuple.txt",
+    "check-balance quintuple-dropped.txt --format json",
+    "check-balance interval.txt",
+    "check-balance interval-dropped.txt",
+    "counterexample quintuple-dropped.txt",
+    "counterexample interval-dropped.txt --format json",
+]
+
+EXPECTED = {
+    'check-balance pair.txt': (0, 'balanced\n'),
+    'enumerate-matchings -p 2 -q 1 -A 1,3': (0, '(1,2)\n(2,3)\n'),
+    'verify family:triple --mode symbolic --network halfgrid:4': (0, 'symbolic check on halfgrid:4: pass\n'),
+    'verify pair.txt --mode tropical --trials 25 --seed 7': (0, 'tropical sweep on halfgrid:3: 50 instances pass\n'),
+    'counterexample unbalanced.txt --network-out gadget.net': (0, 'witness: (1,2)\naugmented: (1,2) (3,4)\nlhs_sum: 0\nrhs_sum: 1\nP1P2: verified\nnetwork written to gadget.net\n'),
+    'gen-family interval-exchange -p 3 -q 2 --pi0 1,2': (0, '3 2\n1 2 3\n2 4 5\n--\n1 4 5\n3 4 5\n'),
+    'laurent -n 3 -A 1,3': (0, 'f[1..1]^1 f[2..2]^-1 f[2..3]^1\nf[1..2]^1 f[2..2]^-1 f[3..3]^1\n'),
+    'lindstrom --network halfgrid:3': (0, '1 1 1\n0 1 2\n0 0 1\n'),
+    'flows --network halfgrid:3 -I 1,3': (0, '1,1;3,1 2,1 2,2\n1,1;3,1 3,2 2,2\n'),
+    'doubleflow-audit --network halfgrid:4 -I 1,4 -J 2,4 --phi 0 --phi-prime 1': (0, 'd(xi) = 0\nM(xi) = (1,2)\nN(xi) = 1\n'),
+    'verify family:quadruple --mode symbolic --network halfgrid:5': (0, 'symbolic check on halfgrid:5: pass\n'),
+    'verify family:quadruple --mode symbolic --network halfgrid:5 --format json': (0, '{"command": "verify", "data": {"mode": "symbolic", "network": "halfgrid:5", "pass": true}, "ok": true, "schema": 1}\n'),
+    'verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3': (0, 'numeric sweep on halfgrid:6: 12 instances pass\n'),
+    'verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3 --format json': (0, '{"command": "verify", "data": {"checked": 12, "mode": "numeric", "network": "halfgrid:6"}, "ok": true, "schema": 1}\n'),
+    'verify family:triple --mode tropical --network halfgrid:5 --trials 6 --seed 1': (0, 'tropical sweep on halfgrid:5: 12 instances pass\n'),
+    'verify family:triple --mode tropical --network halfgrid:5 --trials 6 --seed 1 --format json': (0, '{"command": "verify", "data": {"checked": 12, "mode": "tropical", "network": "halfgrid:5"}, "ok": true, "schema": 1}\n'),
+    'verify unbalanced.txt --mode symbolic': (1, 'symbolic check on halfgrid:3: FAIL\n'),
+    'verify unbalanced.txt --mode numeric --trials 5 --seed 2': (1, 'numeric sweep on halfgrid:3: 7 of 15 instances FAIL\nfirst failure: carrier=int trial=0 X=[] Y=[1, 2, 3] lhs=3 rhs=-6\n'),
+    'verify unbalanced.txt --mode tropical --trials 5 --seed 2 --format json': (1, '{"command": "verify", "data": {"checked": 10, "first_failure": {"X": [], "Y": [1, 2, 3], "carrier": "tropint", "lhs": "-8", "rhs": "-7", "trial": 0}, "mode": "tropical"}, "ok": false, "schema": 1}\n'),
+    'lindstrom --network halfgrid:4 --carrier int --weights int.w': (0, '0 0 0 0\n0 12 240 4680\n0 0 336 15984\n0 0 0 11880\n'),
+    'lindstrom --network halfgrid:4 --carrier int --weights int.w --format json': (0, '{"command": "lindstrom", "data": {"matrix": [["0", "0", "0", "0"], ["0", "12", "240", "4680"], ["0", "0", "336", "15984"], ["0", "0", "0", "11880"]]}, "ok": true, "schema": 1}\n'),
+    'lindstrom --network halfgrid:3 --carrier polyint': (0, '1 1 1\n0 1 2\n0 0 1\n'),
+    'lindstrom --network halfgrid:3 --carrier polyint --weights poly.w': (0, 'a a·b a·b + a·b·c\n0 2·a·b^2 2·a·b^2 + 2·a·b^2·c + 2·a^3·b + 2·a^3·b·c\n0 0 a^2·b + a^2·b·c + a^2·c + a^2·c^2\n'),
+    'lindstrom --network halfgrid:3 --carrier polyint --weights poly.w --format json': (0, '{"command": "lindstrom", "data": {"matrix": [["a", "a\\u00b7b", "a\\u00b7b + a\\u00b7b\\u00b7c"], ["0", "2\\u00b7a\\u00b7b^2", "2\\u00b7a\\u00b7b^2 + 2\\u00b7a\\u00b7b^2\\u00b7c + 2\\u00b7a^3\\u00b7b + 2\\u00b7a^3\\u00b7b\\u00b7c"], ["0", "0", "a^2\\u00b7b + a^2\\u00b7b\\u00b7c + a^2\\u00b7c + a^2\\u00b7c^2"]]}, "ok": true, "schema": 1}\n'),
+    'flows --network halfgrid:5 -I 1,3,5': (0, '1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3\n1,1;3,1 2,1 2,2;5,1 4,1 4,2 4,3 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 4,2 3,2 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 4,2 4,3 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 5,3 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 4,1 4,2 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 5,2 4,2 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 5,2 5,3 4,3 3,3\n'),
+    'flows --network halfgrid:5 -I 1,3,5 --format json': (0, '{"command": "flows", "data": {"count": 8, "flows": ["1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3", "1,1;3,1 2,1 2,2;5,1 4,1 4,2 4,3 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 4,2 3,2 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 4,2 4,3 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 5,3 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 4,1 4,2 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 5,2 4,2 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 5,2 5,3 4,3 3,3"]}, "ok": true, "schema": 1}\n'),
+    'flows --network halfgrid:5 -I 2,4 -J 1,3': (0, '2,1 1,1;4,1 3,1 3,2 3,3\n2,1 1,1;4,1 4,2 3,2 3,3\n2,1 1,1;4,1 4,2 4,3 3,3\n'),
+    'flows --network halfgrid:5 -I 4 -J 2 --format json': (0, '{"command": "flows", "data": {"count": 3, "flows": ["4,1 3,1 2,1 2,2", "4,1 3,1 3,2 2,2", "4,1 4,2 3,2 2,2"]}, "ok": true, "schema": 1}\n'),
+    'doubleflow-audit --network halfgrid:6 -I 1,3,6 -J 2,4 --phi 1 --phi-prime 1': (0, 'd(xi) = 0\nM(xi) = (2,3) (4,5)\nN(xi) = 1\n'),
+    'doubleflow-audit --network halfgrid:6 -I 1,4,6 -J 2,3,5 --phi 1 --phi-prime 2': (0, 'd(xi) = 1\nM(xi) = (1,2) (3,4) (5,6)\nN(xi) = 2\n'),
+    'doubleflow-audit --network halfgrid:6 -I 1,3,5 -J 2,4,6 --phi 3 --phi-prime 1 --format json': (0, '{"command": "doubleflow-audit", "data": {"count": 2, "d": 1, "matching": [[1, 2], [3, 4], [5, 6]]}, "ok": true, "schema": 1}\n'),
+    'laurent -n 5 -A 1,3,4': (0, 'f[1..1]^1 f[2..2]^-1 f[2..4]^1\nf[1..2]^1 f[2..2]^-1 f[2..3]^-1 f[2..4]^1 f[3..3]^1\nf[1..3]^1 f[2..3]^-1 f[3..4]^1\n'),
+    'laurent -n 5 -A 2,4 --format json': (0, '{"command": "laurent", "data": {"monomials": [[[2, 2, 1], [3, 3, -1], [3, 4, 1]], [[2, 3, 1], [3, 3, -1], [4, 4, 1]]]}, "ok": true, "schema": 1}\n'),
+    'check-balance quintuple.txt': (0, 'balanced\n'),
+    'check-balance quintuple-dropped.txt --format json': (1, '{"command": "check-balance", "data": {"balanced": false, "lhs_count": 1, "rhs_count": 0, "witness": [[1, 2], [4, 5]]}, "ok": false, "schema": 1}\n'),
+    'check-balance interval.txt': (0, 'balanced\n'),
+    'check-balance interval-dropped.txt': (1, 'unbalanced witness: (1,4) (2,3)\n'),
+    'counterexample quintuple-dropped.txt': (0, 'sha256:9488f1c8f37a996e76f6aa8f4f359a1e034903cf46ac3e5e7d5348b10c928d8d'),
+    'counterexample interval-dropped.txt --format json': (0, 'sha256:bd3512eb223d1728bb6b784e34d363b9cd3cf88bc45939ba413845010fa74c1a'),
+}
+
+
+def _digest(out: str) -> str:
+    return out if len(out) <= 400 else "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+
+
+def _run(argv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    return code, buffer.getvalue()
+
+
+def _write_inputs(directory: Path) -> None:
+    files = {"pair.txt": BALANCED, "unbalanced.txt": UNBALANCED, "int.w": INT_WEIGHTS, "poly.w": POLY_WEIGHTS}
+    for name, argv in GENERATED.items():
+        out = _run(argv)[1]
+        files[f"{name}.txt"] = out
+        files[f"{name}-dropped.txt"] = "".join(out.splitlines(keepends=True)[:-1])
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", CASES)
+def test_cli_stdout_unchanged(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    code, out = _run(command.split())
+    assert (code, _digest(out)) == EXPECTED[command]
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        _write_inputs(Path(tmp))
+        rows = []
+        for command in CASES:
+            code, out = _run(command.split())
+            rows.append(f"    {command!r}: ({code}, {_digest(out)!r}),")
+    print("EXPECTED = {\n" + "\n".join(rows) + "\n}")

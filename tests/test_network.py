@@ -1,5 +1,6 @@
 import pytest
 
+from sqflows.cli import main
 from sqflows.flows import enumerate_flag_flows
 from sqflows.network import (
     EXTRA,
@@ -182,3 +183,46 @@ def test_text_reader_errors():
         parse_network("vertex a\nwobble a\nsources a\nsinks a\n")
     with pytest.raises(NetworkError):
         parse_network("vertex a\n")
+
+
+# (vertices, edges, sources, sinks) of cyclic networks
+CYCLIC = {
+    "two-cycle": (("u", "v"), (("u", "v"), ("v", "u")), ("u",), ("v",)),
+    "three-cycle entered from a tail": (
+        ("s", "a", "b", "c", "t"),
+        (("s", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "t")),
+        ("s",),
+        ("t",),
+    ),
+    "first vertex downstream of a cycle": (
+        ("z", "s", "a", "b"),
+        (("s", "a"), ("a", "b"), ("b", "a"), ("b", "z")),
+        ("s",),
+        ("z",),
+    ),
+    "two cycles": (
+        ("t", "d", "c", "s", "a", "b"),
+        (("s", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c"), ("d", "t")),
+        ("s",),
+        ("t",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CYCLIC)
+def test_cycle_witness_is_a_cycle(name, tmp_path, capsys):
+    vertices, edges, sources, sinks = CYCLIC[name]
+    net = PlanarNetwork(vertices=vertices, edges=edges, sources=sources, sinks=sinks)
+    lines = [p for p in validate(net) if p.startswith("cycle: ")]
+    assert len(lines) == 1
+    cycle = lines[0][len("cycle: ") :].split(" -> ")
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+    assert len(set(cycle)) == len(cycle) - 1
+    assert all(edge in edges for edge in zip(cycle, cycle[1:]))
+    assert cycle[0] == min(cycle, key=vertices.index)
+
+    path = tmp_path / "cyclic.txt"
+    path.write_text(write_network(net))
+    assert main(["flows", "--network", str(path), "-I", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid network: ") and lines[0] in err

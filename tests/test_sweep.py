@@ -15,6 +15,7 @@ from sqflows.counterexample import build_gadget_network
 from sqflows.flows import (
     Flow,
     FlowError,
+    FlowFunction,
     enumerate_flag_flows,
     enumerate_flows,
     evaluate_fgf,
@@ -284,3 +285,22 @@ def test_terminals_shared_between_paths():
         for I in ({1}, {2}, {1, 2}):
             assert same(evaluate_fgf(net, ones, I, COUNTING_NAT), enumerated(net, ones, I, COUNTING_NAT))
         assert evaluate_fgf(net, ones, {1, 2}, COUNTING_NAT) == 0
+
+
+def test_weights_are_checked_once(monkeypatch):
+    # a FlowFunction checks its weighting on its first call only, and the path
+    # matrix checks it once for all its entries
+    g = build_half_grid(4)
+    weights = {v: k + 2 for k, v in enumerate(g.vertices)}
+    sets = ({1}, {1, 3}, {2, 4}, {1, 2, 3, 4})
+    expected = [evaluate_fgf(g, weights, I, EXACT_INT) for I in sets]
+    matrix = lindstrom_matrix(g, weights, EXACT_INT)
+    checked = []
+    check = EXACT_INT.check
+    monkeypatch.setattr(EXACT_INT, "check", lambda *values: checked.extend(values) or check(*values))
+    f = FlowFunction(g, weights, EXACT_INT)
+    assert [f(I) for I in sets] == expected
+    assert sorted(checked) == sorted(weights.values())
+    checked.clear()
+    assert lindstrom_matrix(g, weights, EXACT_INT) == matrix
+    assert sorted(checked) == sorted(weights.values())
