@@ -310,7 +310,10 @@ class FlowFunction:
         self._paid = None
 
     def __call__(self, I: Iterable[int]):
+        I = tuple(I)
         key = frozenset(I)
+        if len(key) != len(I):
+            raise FlowError("repeated source index")
         if key not in self._memo:
             net, carrier = self.network, self.carrier
             I = _check_indices("source", key, len(net.sources))

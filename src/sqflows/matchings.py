@@ -84,39 +84,46 @@ def is_feasible(matching: NestedMatching, a_set: Iterable[int]) -> bool:
 
 
 def _scan(n: int, q: int, a_set: frozenset[int] | None):
-    """Left-to-right scan: arcs open and close stack-wise (nested by
-    construction), free elements are allowed only outside open arcs, and the
-    bicoloring condition is checked at closure when a_set is given."""
+    """Left-to-right scan over [n] with an explicit stack of partial
+    matchings, so its depth is not bounded by the interpreter's recursion
+    limit.  At each element k a partial matching may close its innermost open
+    arc at k, open an arc at k, or leave k free; the children are pushed in
+    reverse, so they are taken in that order and the matchings come out in
+    one fixed order.  Arcs open and close stack-wise, so they are nested by
+    construction, and k may stay free only outside every open arc.
+
+    With a coloring A (|A| = n - q), closing checks that the arc has exactly
+    one end in A, and two exact facts prune the scan:
+
+    - each of the q arcs has one end in A and one outside it, so no element
+      outside A is free: k may stay free only when it is in A;
+    - an open arc needs a later element of the other color to close it, and
+      an arc not yet opened needs one element of each color.  Outside A this
+      count is met exactly, as none of those elements is free; in A it fails
+      exactly when more than n - 2q elements have been left free.  So k may
+      stay free only while fewer than n - 2q elements before it are free.
+
+    The second rule holds for every q-arc matching on [n], colored or not."""
 
     results: list[NestedMatching] = []
-    stack: list[int] = []
-    arcs: list[Arc] = []
-
-    def step(k: int):
+    free_total = n - 2 * q
+    # A partial matching before element k: the openers of its open arcs (the
+    # innermost last) and its closed arcs.
+    todo = [(1, (), ())]
+    while todo:
+        k, opens, arcs = todo.pop()
         if k > n:
-            if not stack and len(arcs) == q:
-                results.append(NestedMatching(tuple(arcs), n))
-            return
-        remaining = n - k + 1
-        if len(stack) > remaining:
-            return
-        if stack:
-            i = stack[-1]
-            ok = a_set is None or ((i in a_set) != (k in a_set))
-            if ok:
-                stack.pop()
-                arcs.append((i, k))
-                step(k + 1)
-                arcs.pop()
-                stack.append(i)
-        if len(arcs) + len(stack) < q:
-            stack.append(k)
-            step(k + 1)
-            stack.pop()
-        if not stack:
-            step(k + 1)
-
-    step(1)
+            if not opens and len(arcs) == q:
+                results.append(NestedMatching(arcs, n))
+            continue
+        if not opens and k - 1 - 2 * len(arcs) < free_total and (a_set is None or k in a_set):
+            todo.append((k + 1, opens, arcs))
+        if len(arcs) + len(opens) < q:
+            todo.append((k + 1, opens + (k,), arcs))
+        if opens:
+            i = opens[-1]
+            if a_set is None or (i in a_set) != (k in a_set):
+                todo.append((k + 1, opens[:-1], arcs + ((i, k),)))
     return tuple(results)
 
 
@@ -175,11 +182,12 @@ def collection(p: int, q: int, members: Iterable[Iterable[int]]) -> Collection:
 
 def matching_multiset(coll: Collection) -> Counter:
     """Matchings counted with multiplicity |{A in the collection : M feasible
-    for A}|, members counted with their own multiplicity."""
+    for A}|, members counted with their own multiplicity.  Each distinct
+    member is scanned once and adds its multiplicity."""
     counts: Counter = Counter()
-    for member in coll.members:
+    for member, times in Counter(coll.members).items():
         for m in enumerate_feasible_matchings(member, coll.p, coll.q):
-            counts[m] += 1
+            counts[m] += times
     return counts
 
 

@@ -35,6 +35,14 @@ def test_check_balance(pair_files, capsys):
     assert out.strip() == "unbalanced witness: (1,2)"
 
 
+def test_check_balance_deep_pair(tmp_path, capsys):
+    member = " ".join(str(k) for k in range(1, 1201))
+    pair = tmp_path / "deep.txt"
+    pair.write_text(f"1200 1\n{member}\n--\n{member}\n")
+    code, out, _ = run(capsys, ["check-balance", str(pair)])
+    assert (code, out) == (0, "balanced\n")
+
+
 def test_check_balance_json(pair_files, capsys):
     good, _ = pair_files
     code, out, _ = run(capsys, ["check-balance", good, "--format", "json"])

@@ -29,6 +29,13 @@ GENERATED = {
     "interval": ["gen-family", "interval-exchange", "-p", "3", "-q", "2", "--pi0", "1,2"],
 }
 
+# The union of two generated pairs at (4, 3) repeats members on both sides;
+# its copy drops one repeated left-hand member, which leaves it unbalanced.
+UNION = [
+    ["gen-family", "tail-fixed", "-p", "4", "-q", "3", "--tail", "6"],
+    ["gen-family", "groebner", "-p", "4", "-q", "3", "--B", "1,4,5,6"],
+]
+
 CASES = [
     # README examples
     "check-balance pair.txt",
@@ -74,6 +81,13 @@ CASES = [
     "check-balance interval-dropped.txt",
     "counterexample quintuple-dropped.txt",
     "counterexample interval-dropped.txt --format json",
+    # repeated members, and the scan order at (7, 6)
+    "check-balance union.txt",
+    "check-balance union.txt --format json",
+    "check-balance union-dropped.txt",
+    "check-balance union-dropped.txt --format json",
+    "enumerate-matchings -p 7 -q 6 -A 1,3,5,7,9,11,13",
+    "enumerate-matchings -p 7 -q 6 -A 2,3,5,7,9,11,13 --format json",
 ]
 
 EXPECTED = {
@@ -116,6 +130,12 @@ EXPECTED = {
     'check-balance interval-dropped.txt': (1, 'unbalanced witness: (1,4) (2,3)\n'),
     'counterexample quintuple-dropped.txt': (0, 'sha256:9488f1c8f37a996e76f6aa8f4f359a1e034903cf46ac3e5e7d5348b10c928d8d'),
     'counterexample interval-dropped.txt --format json': (0, 'sha256:bd3512eb223d1728bb6b784e34d363b9cd3cf88bc45939ba413845010fa74c1a'),
+    'check-balance union.txt': (0, 'balanced\n'),
+    'check-balance union.txt --format json': (0, '{"command": "check-balance", "data": {"balanced": true}, "ok": true, "schema": 1}\n'),
+    'check-balance union-dropped.txt': (1, 'unbalanced witness: (2,3) (4,5) (6,7)\n'),
+    'check-balance union-dropped.txt --format json': (1, '{"command": "check-balance", "data": {"balanced": false, "lhs_count": 3, "rhs_count": 4, "witness": [[2, 3], [4, 5], [6, 7]]}, "ok": false, "schema": 1}\n'),
+    'enumerate-matchings -p 7 -q 6 -A 1,3,5,7,9,11,13': (0, 'sha256:88e057644dc550be17dc63150a4089b99d8026ed9559ca488a7eb6a892c8b2ac'),
+    'enumerate-matchings -p 7 -q 6 -A 2,3,5,7,9,11,13 --format json': (0, 'sha256:bbbc9324a156681764612cb9fbf829f9722704f7d92470fc91ea60fd2a6088eb'),
 }
 
 
@@ -136,6 +156,16 @@ def _write_inputs(directory: Path) -> None:
         out = _run(argv)[1]
         files[f"{name}.txt"] = out
         files[f"{name}-dropped.txt"] = "".join(out.splitlines(keepends=True)[:-1])
+    left, right = [], []
+    for argv in UNION:
+        header, *lines = _run(argv)[1].splitlines(keepends=True)
+        cut = lines.index("--\n")
+        left += lines[:cut]
+        right += lines[cut + 1:]
+    files["union.txt"] = "".join([header, *left, "--\n", *right])
+    repeated = next(line for line in left if left.count(line) > 1)
+    left.remove(repeated)
+    files["union-dropped.txt"] = "".join([header, *left, "--\n", *right])
     for name, text in files.items():
         (directory / name).write_text(text, encoding="utf-8")
 

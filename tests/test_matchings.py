@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import naive_feasible_matchings
+from sqflows import matchings
 from sqflows.matchings import (
+    BalanceResult,
     MatchingError,
     NestedMatching,
     collection,
@@ -19,6 +21,7 @@ from sqflows.matchings import (
     parse_collection_pair,
     write_collection_pair,
 )
+from sqflows.relations import family_tail_fixed
 
 
 def arcs(m):
@@ -102,6 +105,20 @@ def test_enumeration_matches_brute_force_ten():
         a = tuple(sorted(rng.sample(range(1, 11), 6)))
         ours = sorted(enumerate_feasible_matchings(a, 6, 4), key=lambda m: m.arcs)
         assert ours == naive_feasible_matchings(a, 6, 4)
+
+
+def test_feasible_scan_is_the_filtered_nested_scan():
+    # the same matchings in the same order, for every A with p + q <= 10
+    for n in range(11):
+        for q in range(n + 1):
+            nested = enumerate_nested_matchings(n, q)
+            for a in combinations(range(1, n + 1), n - q):
+                assert enumerate_feasible_matchings(a, n - q, q) == tuple(m for m in nested if is_feasible(m, a))
+
+
+def test_scan_depth_is_not_limited_by_recursion():
+    only = NestedMatching(((1200, 1201),), 1201)
+    assert enumerate_feasible_matchings(range(1, 1201), 1200, 1) == (only,)
 
 
 def test_block_structure():
@@ -192,6 +209,52 @@ def test_balanced_is_symmetric_reflexive_additive():
         c1x = collection(p, q, list(c1.members) + [extra])
         c2x = collection(p, q, list(c2.members) + [extra])
         assert is_balanced(c1x, c2x).balanced == r12.balanced
+
+
+def _brute_balance(lhs, rhs):
+    """is_balanced from is_feasible over every nested matching, each member
+    counted once per copy."""
+    nested = sorted(enumerate_nested_matchings(lhs.p + lhs.q, lhs.q), key=lambda m: m.arcs)
+    for m in nested:
+        left = sum(is_feasible(m, a) for a in lhs.members)
+        right = sum(is_feasible(m, a) for a in rhs.members)
+        if left != right:
+            return BalanceResult(False, m, left, right)
+    return BalanceResult(True, None, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_balance_with_repeated_members_matches_brute_force(data):
+    p = data.draw(st.integers(1, 5))
+    q = data.draw(st.integers(1, 4))
+    pool = list(combinations(range(1, p + q + 1), p))
+    # every list of two or more members repeats some of them
+    members = st.lists(st.sampled_from(pool), max_size=4).map(lambda ms: ms + ms[:2])
+    shared = data.draw(members)
+    lhs = shared + data.draw(members)
+    rhs = shared + data.draw(members)
+    if p >= q and data.draw(st.booleans()):
+        family = family_tail_fixed(p, q, ())
+        lhs += family.lhs.members
+        rhs += family.rhs.members
+    lhs, rhs = collection(p, q, lhs), collection(p, q, rhs)
+    assert is_balanced(lhs, rhs) == _brute_balance(lhs, rhs)
+
+
+def test_each_distinct_member_is_scanned_once(monkeypatch):
+    scanned = []
+    scan = matchings.enumerate_feasible_matchings
+
+    def counting(a_set, p, q):
+        scanned.append(tuple(a_set))
+        return scan(a_set, p, q)
+
+    monkeypatch.setattr(matchings, "enumerate_feasible_matchings", counting)
+    lhs = collection(3, 2, [(1, 3, 5), (1, 3, 5), (1, 2, 5)])
+    rhs = collection(3, 2, [(2, 3, 4), (1, 2, 5), (1, 4, 5)] * 2 + [(1, 2, 5)])
+    assert is_balanced(lhs, rhs).balanced
+    assert scanned == sorted(set(lhs.members)) + sorted(set(rhs.members))
 
 
 def test_balanced_parameter_mismatch():

@@ -230,9 +230,13 @@ def test_cycle_and_bad_indices():
             call()
     g = build_half_grid(3)
     ones = {v: 1 for v in g.vertices}
+    f = FlowFunction(g, ones, COUNTING_NAT)
+    f({2})  # memoized under {2}, which must not answer f((2, 2))
     for I, message in (((0,), "outside"), ((4,), "outside"), ((2, 2), "repeated")):
         with pytest.raises(FlowError, match=message):
             evaluate_fgf(g, ones, I, COUNTING_NAT)
+        with pytest.raises(FlowError, match=message):
+            f(I)
 
 
 def _on_some_flow(net, I):
