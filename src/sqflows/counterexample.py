@@ -196,20 +196,13 @@ class InequalityReport:
     p1_p2_verified: bool
 
 
-def side_sums(
-    lhs: Collection,
-    rhs: Collection,
-    matching: NestedMatching,
-    carrier: Carrier,
-    weighting=None,
-):
-    """Both sides of the relation on the gadget of ``matching``: the sums of
-    f(A) * f(A-hat) over each collection, A-hat the complement in [2p]."""
+def side_sums(lhs: Collection, rhs: Collection, matching: NestedMatching, carrier: Carrier):
+    """Both sides of the relation on the gadget of ``matching`` under unit
+    weights: the sums of f(A) * f(A-hat) over each collection, A-hat the
+    complement in [2p]."""
     aug = augment_matching(matching, lhs.p, lhs.q)
     gadget = build_gadget_network(aug.result)
-    if weighting is None:
-        weighting = {v: 1 for v in gadget.network.vertices}
-    f = FlowFunction(gadget.network, weighting, carrier)
+    f = FlowFunction(gadget.network, {v: 1 for v in gadget.network.vertices}, carrier)
 
     def one_side(coll: Collection):
         return _sum_side(f, [(member, aug.complement(member)) for member in coll.members])

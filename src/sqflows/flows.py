@@ -6,10 +6,11 @@ labelled partial path systems without listing them, using only the carrier's
 addition and multiplication.  Enumeration lists the flows themselves, for the
 commands and modules that need every flow (``flows``, double flows, Laurent
 expansion, gadget checks); it is backtracking over sink-ordered path
-extension with reachability pruning.  Both run on the network's compiled
-form (``PlanarNetwork.form``) and share one terminal rule.  Planarity plus the
-boundary order of the terminals force the k-th smallest chosen source to
-feed the k-th chosen sink, so both engines use only that pairing.
+extension with reachability pruning, on its own stack, so neither path length
+nor path count is bounded by the recursion limit.  Both run on the network's
+compiled form (``PlanarNetwork.form``) and share one terminal rule.  Planarity
+plus the boundary order of the terminals force the k-th smallest chosen
+source to feed the k-th chosen sink, so both engines use only that pairing.
 """
 
 from __future__ import annotations
@@ -77,37 +78,34 @@ def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
 
 def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     """All disjoint path systems pairing srcs[k] -> dsts[k], in lexicographic
-    order of the vertex sequences."""
+    order of the vertex sequences.  A stack frame holds the finished paths as
+    name tuples, the positions of the path being extended and the mask of
+    positions taken; children are pushed in reverse ``succ`` order, so they
+    pop in ``succ`` order."""
     plan = _plan(net, srcs, dsts)
     if plan is None:
         return
     starts, ends, allowed = plan
+    if not starts:
+        yield ()
+        return
     order, succ = net.order, net.form.succ
-    m = len(starts)
-
-    def go(k: int, used: int):
-        if k == m:
-            yield ()
-            return
-        t, mask = ends[k], allowed[k]
-        path = [order[starts[k]]]
-
-        def extend(p: int, taken: int):
-            if p == t:
-                frozen = tuple(path)
-                for rest in go(k + 1, taken):
-                    yield (frozen,) + rest
-                return
-            free = mask & ~taken
-            for u in succ[p]:
-                if free >> u & 1:
-                    path.append(order[u])
-                    yield from extend(u, taken | 1 << u)
-                    path.pop()
-
-        yield from extend(starts[k], used | 1 << starts[k])
-
-    yield from go(0, 0)
+    stack = [((), (starts[0],), 1 << starts[0])]
+    while stack:
+        done, path, taken = stack.pop()
+        k, p = len(done), path[-1]
+        if p == ends[k]:
+            done += (tuple(order[q] for q in path),)
+            if len(done) == len(starts):
+                yield done
+            else:
+                s = starts[k + 1]
+                stack.append((done, (s,), taken | 1 << s))
+            continue
+        free = allowed[k] & ~taken
+        for u in reversed(succ[p]):
+            if free >> u & 1:
+                stack.append((done, path + (u,), taken | 1 << u))
 
 
 def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
@@ -295,7 +293,7 @@ def evaluate_fgf(net: PlanarNetwork, weighting: Mapping, I: Iterable[int], carri
     computed by the frontier sweep without listing the flows.
 
     Returns the undefined marker of the carrier when no flow exists."""
-    return FlowFunction(net, weighting, carrier)(_check_indices("source", I, len(net.sources)))
+    return FlowFunction(net, weighting, carrier)(I)
 
 
 class FlowFunction:

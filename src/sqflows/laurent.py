@@ -151,18 +151,18 @@ def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     if not A:
         raise LaurentError("A must be nonempty")
     net = build_half_grid(n)
-    flows = enumerate_flag_flows(net, A)
+    degrees = {}  # vertex -> the interval degrees its weight quotient adds
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            num, den = _weight_ratio(i, j)
+            degrees[half_grid_vertex(i, j)] = [(iv, 1) for iv in num] + [(iv, -1) for iv in den]
     monos = []
-    for flow in flows:
+    for flow in enumerate_flag_flows(net, A):
         degree: Counter = Counter()
         for path in flow.paths:
             for name in path:
-                i, j = (int(x) for x in name.split(","))
-                num, den = _weight_ratio(i, j)
-                for interval in num:
-                    degree[interval] += 1
-                for interval in den:
-                    degree[interval] -= 1
+                for interval, d in degrees[name]:
+                    degree[interval] += d
         monos.append(tuple(sorted((iv, d) for iv, d in degree.items() if d)))
     return LaurentExpression(monomials=tuple(sorted(monos)))
 

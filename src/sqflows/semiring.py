@@ -128,7 +128,10 @@ class Carrier:
         return acc
 
     def parse(self, text: str):
-        value = self._parse(text)
+        try:
+            value = self._parse(text)
+        except ZeroDivisionError:
+            raise SemiringError(f"{text!r} has a zero denominator") from None
         self.check(value)
         return value
 
@@ -190,7 +193,7 @@ class Poly:
     equality of the canonical form.
     """
 
-    __slots__ = ("terms", "nonneg")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         merged = {}
@@ -199,7 +202,6 @@ class Poly:
             for mono, coeff in items:
                 merged[mono] = merged.get(mono, 0) + coeff
         self.terms = {m: c for m, c in merged.items() if c}
-        self.nonneg = all(c > 0 for c in self.terms.values())
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> "Poly":
@@ -359,8 +361,8 @@ TROPICAL_RATIONAL = _Tropical("troprat", _is_rational, Fraction, one=Fraction(0)
 # carrier: identities that hold there hold under every substitution into
 # every commutative semiring.
 POLY_NAT = _Arithmetic(
-    "polynat", lambda a: isinstance(a, Poly) and a.nonneg, parse_poly, render_poly,
-    zero=Poly(), one=Poly.const(1),
+    "polynat", lambda a: isinstance(a, Poly) and all(c > 0 for c in a.terms.values()),
+    parse_poly, render_poly, zero=Poly(), one=Poly.const(1),
 )
 POLY_INT = _Arithmetic(
     "polyint", lambda a: isinstance(a, Poly), parse_poly, render_poly,

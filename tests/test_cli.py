@@ -189,6 +189,29 @@ def test_lindstrom_with_weights(tmp_path, capsys):
     assert out.splitlines() == ["2 6", "0 15"]
 
 
+def test_lindstrom_zero_denominator_weight(tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1,1 1/0\n")
+    for carrier in ("troprat", "posrat"):
+        argv = ["lindstrom", "--network", "halfgrid:2", "--weights", str(weights), "--carrier", carrier]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "zero denominator" in err
+
+
+def test_flows_on_a_long_chain(tmp_path, capsys):
+    # one path longer than the recursion limit
+    names = [f"v{i}" for i in range(1500)]
+    chain = tmp_path / "chain.net"
+    chain.write_text(
+        "".join(f"vertex {v}\n" for v in names)
+        + "".join(f"edge {a} {b}\n" for a, b in zip(names, names[1:]))
+        + "sources v0\nsinks v1499\n"
+    )
+    code, out, _ = run(capsys, ["flows", "--network", str(chain), "-I", "1"])
+    assert (code, out) == (0, " ".join(names) + "\n")
+
+
 def test_flows_command(capsys):
     code, out, _ = run(capsys, ["flows", "--network", "halfgrid:3", "-I", "1,3"])
     assert code == 0

@@ -14,7 +14,7 @@ from sqflows.flows import (
     lindstrom_matrix,
     minor,
 )
-from sqflows.network import build_half_grid, random_grid_network, vertex_split
+from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, vertex_split
 from sqflows.semiring import (
     COUNTING_NAT,
     EXACT_INT,
@@ -277,3 +277,23 @@ def test_ij_flows_complete_over_all_pairings_on_grids():
                             every.add(tuple(sorted(system)))
                     ours = {tuple(sorted(f.paths)) for f in enumerate_flows(net, I, J)}
                     assert ours == every
+
+
+def test_long_path_is_listed():
+    # one path longer than the recursion limit
+    names = tuple(f"v{i}" for i in range(1500))
+    chain = PlanarNetwork(names, tuple(zip(names, names[1:])), names[:1], names[-1:])
+    assert [flow.paths for flow in enumerate_flag_flows(chain, {1})] == [(names,)]
+
+
+def test_many_paths_are_listed():
+    # more paths than the recursion limit: a ladder of disjoint edges s_i -> t_i
+    n = 1200
+    rungs = tuple((f"s{i}", f"t{i}") for i in range(n))
+    ladder = PlanarNetwork(
+        vertices=tuple(v for rung in rungs for v in rung),
+        edges=rungs,
+        sources=tuple(s for s, _ in rungs),
+        sinks=tuple(t for _, t in rungs),
+    )
+    assert [flow.paths for flow in enumerate_flag_flows(ladder, range(1, n + 1))] == [rungs]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _brute import naive_flag_flows
+from _brute import naive_disjoint_systems, naive_flag_flows
 from sqflows.counterexample import build_gadget_network
 from sqflows.flows import (
     Flow,
@@ -140,6 +140,27 @@ def test_sweep_matches_enumeration(case):
 def test_sweep_matches_brute_force(case):
     net, weighting, I, carrier = case
     assert evaluate_fgf(net, weighting, I, carrier) == brute(net, weighting, I, carrier)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(networks(), st.data())
+def test_listing_order(net, data):
+    # flows come out strictly increasing in their paths, and they are exactly
+    # the order-preserving systems of the brute-force oracle
+    I = data.draw(st.sets(st.integers(1, len(net.sources))))
+    flag = [flow.paths for flow in enumerate_flag_flows(net, I)]
+    if len(I) > len(net.sinks):
+        assert flag == []
+        return
+    identity = tuple(range(len(I)))
+    assert flag == sorted(system for perm, system in naive_flag_flows(net, I) if perm == identity)
+    J = data.draw(st.sets(st.integers(1, len(net.sinks)), min_size=len(I), max_size=len(I)))
+    srcs = [net.sources[i - 1] for i in sorted(I)]
+    dsts = [net.sinks[j - 1] for j in sorted(J)]
+    listed = [flow.paths for flow in enumerate_flows(net, I, J)]
+    assert listed == sorted(naive_disjoint_systems(net, srcs, dsts))
+    for paths in (flag, listed):
+        assert all(a < b for a, b in zip(paths, paths[1:]))
 
 
 @settings(max_examples=60, deadline=None)
