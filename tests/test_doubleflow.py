@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -13,7 +14,13 @@ from sqflows.doubleflow import (
 )
 from sqflows.flows import enumerate_flag_flows
 from sqflows.matchings import is_feasible
-from sqflows.network import PlanarNetwork, build_half_grid, validate, vertex_split
+from sqflows.network import (
+    PlanarNetwork,
+    build_half_grid,
+    random_grid_network,
+    validate,
+    vertex_split,
+)
 
 
 def diamond_network():
@@ -381,3 +388,58 @@ def test_lemma_laws_sampled_gamma5():
         assert groups[df.multiplicities] == 2 ** dec.d
         assert is_feasible(dec.matching, a)
         checked += 1
+
+
+def decompose_corpus():
+    """Every flow pair of every (I, J) with |I - J| >= |J - I| on six split
+    networks, in a fixed order."""
+    nets = (
+        build_half_grid(3),
+        build_half_grid(4),
+        diamond_network(),
+        double_diamond_network(),
+        random_grid_network(4, 2, random.Random(5)),
+        random_grid_network(4, 3, random.Random(8)),
+    )
+    for net in nets:
+        split = vertex_split(net)
+        n = len(split.sources)
+        subsets = [I for r in range(n + 1) for I in combinations(range(1, n + 1), r)]
+        flows = {I: enumerate_flag_flows(split, I) for I in subsets}
+        for I in subsets:
+            for J in subsets:
+                if len(set(I) - set(J)) >= len(set(J) - set(I)):
+                    for phi in flows[I]:
+                        for phi_prime in flows[J]:
+                            yield superpose(phi, phi_prime)
+
+
+def decompose_outcome(df):
+    try:
+        dec = decompose(df)
+    except ValueError as exc:
+        return type(exc).__name__
+    return (dec.circuits, dec.paths, dec.essential_arcs, dec.essential_paths, dec.matching.arcs)
+
+
+def test_decompose_pinned_digest():
+    # order, direction and alignment of every field, plus the exception type
+    # on a copy of each double flow with one multiplicity flipped between 1 and 2
+    from sqflows.doubleflow import DoubleFlow
+
+    rng = random.Random("flip")
+    genuine = hashlib.sha256()
+    flipped = hashlib.sha256()
+    count = 0
+    for df in decompose_corpus():
+        genuine.update(repr(decompose_outcome(df)).encode())
+        mults = list(df.multiplicities)
+        if mults:
+            k = rng.randrange(len(mults))
+            mults[k] = (mults[k][0], 3 - mults[k][1])
+        broken = DoubleFlow(multiplicities=tuple(mults), context=df.context, network=df.network)
+        flipped.update(repr(decompose_outcome(broken)).encode())
+        count += 1
+    assert count == 2559
+    assert genuine.hexdigest() == "21cbc85663001857c3595842ac4dae854fe9d996425d36412e15238dc4186e24"
+    assert flipped.hexdigest() == "5648bfa5c56605d8f46dcd6a02e459b8f834ae3a4ce511d613d61b389c7b08ba"
