@@ -147,6 +147,8 @@ def _run_verify_task(relation, net, carrier_name, trial, seed):
 
 
 def cmd_verify(args) -> int:
+    if args.mode != "symbolic" and args.trials < 1:
+        raise CliError("--trials must be at least 1")
     relation = _load_relation(args.relation)
     net_spec = args.network or f"halfgrid:{relation.p + relation.q}"
     net = _load_network(net_spec)
@@ -184,10 +186,7 @@ def cmd_verify(args) -> int:
 
 def cmd_counterexample(args) -> int:
     lhs, rhs = _load_pair(args.pair)
-    try:
-        report = cx.evaluate_inequality(lhs, rhs)
-    except mt.MatchingError as exc:
-        raise CliError(str(exc)) from None
+    report = cx.evaluate_inequality(lhs, rhs)
     net_text = nw.write_network(report.gadget.network)
     lines = [
         f"witness: {_arc_text(report.witness)}",
@@ -197,8 +196,11 @@ def cmd_counterexample(args) -> int:
         f"P1P2: {'verified' if report.p1_p2_verified else 'FAILED'}",
     ]
     if args.network_out:
-        with open(args.network_out, "w", encoding="utf-8") as handle:
-            handle.write(net_text)
+        try:
+            with open(args.network_out, "w", encoding="utf-8") as handle:
+                handle.write(net_text)
+        except OSError as exc:
+            raise CliError(f"cannot write network {args.network_out!r}: {exc}") from None
         lines.append(f"network written to {args.network_out}")
     else:
         lines.append("network:")
@@ -224,10 +226,9 @@ def cmd_gen_family(args) -> int:
         indices = _int_list(args.pi0)
         if not indices:
             raise CliError("interval-exchange needs --pi0 with arc indices")
-        try:
-            chosen = [base[i - 1] for i in indices]
-        except IndexError:
-            raise CliError(f"--pi0 indices must lie in 1..{args.q}") from None
+        if not all(1 <= i <= len(base) for i in indices):
+            raise CliError(f"--pi0 indices must lie in 1..{args.q}")
+        chosen = [base[i - 1] for i in indices]
         relation = rel.family_interval_exchange(args.p, args.q, chosen)
     elif name == "tail-fixed":
         relation = rel.family_tail_fixed(args.p, args.q, _int_list(args.tail))

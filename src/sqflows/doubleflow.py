@@ -3,7 +3,9 @@ decomposition count, and the exchange operation along essential paths.
 
 Everything here works in the split network only: the alternation argument
 behind the decomposition needs every non-terminal vertex to carry exactly one
-split-edge.  The pairing context (X, Y, A) is recovered from the two flows'
+split-edge.  So the multiplicity-one subgraph has maximum degree two, and
+each of its components, a circuit or a simple path, is walked once.  The
+pairing context (X, Y, A) is recovered from the two flows'
 source index sets: X is the shared part, Y the symmetric difference, and A
 marks the positions of the first flow inside Y.
 """
@@ -122,67 +124,24 @@ class Decomposition:
         return self.essential_paths[self.essential_arcs.index(tuple(arc))]
 
 
-def _components(edges):
-    adjacency: dict[str, list[tuple[tuple[str, str], str]]] = {}
-    for e in edges:
-        u, v = e
-        adjacency.setdefault(u, []).append((e, v))
-        adjacency.setdefault(v, []).append((e, u))
-    seen_edges = set()
-    comps = []
-    for start in sorted(adjacency):
-        if all(e in seen_edges for e, _ in adjacency[start]):
-            continue
-        stack = [start]
-        verts = set()
-        comp_edges = []
-        while stack:
-            v = stack.pop()
-            if v in verts:
-                continue
-            verts.add(v)
-            for e, other in adjacency[v]:
-                if e not in seen_edges:
-                    seen_edges.add(e)
-                    comp_edges.append(e)
-                if other not in verts:
-                    stack.append(other)
-        comps.append((verts, comp_edges))
-    return adjacency, comps
-
-
-def _walk(adjacency, comp_edges, start):
-    """Order a path/circuit component's edges by walking from start; returns
-    the edges plus the vertex met before each one."""
-    edge_set = set(comp_edges)
-    used = set()
-    ordered = []
-    stops = []
-    current = start
-    while len(ordered) < len(comp_edges):
-        for e, other in adjacency[current]:
-            if e in edge_set and e not in used:
-                used.add(e)
-                ordered.append(e)
-                stops.append(current)
-                current = other
-                break
-        else:
+def _walk(adjacency, start):
+    """Follow multiplicity-one edges from start, never straight back, until
+    the walk is stuck or closes at start; returns the edges plus the vertex
+    met before each one and the last."""
+    edges, stops = [], [start]
+    while not edges or stops[-1] != start:
+        step = [(e, other) for e, other in adjacency[stops[-1]] if not edges or e != edges[-1]]
+        if not step:
             break
-    return ordered, stops + [current]
+        edges.append(step[0][0])
+        stops.append(step[0][1])
+    return edges, stops
 
 
-def _audit_alternation(df: DoubleFlow, ordered, stops, circuit: bool) -> None:
+def _audit_alternation(ordered, stops, split_of, table, circuit: bool) -> None:
     """Where consecutive component edges meet head-to-head or tail-to-tail the
     two flows switch, which forces the vertex's split-edge to be shared: its
     multiplicity in xi must be two."""
-    net = df.network
-    split_of = {}
-    for edge, kind in zip(net.edges, net.edge_kinds):
-        if kind == SPLIT:
-            split_of[edge[0]] = edge
-            split_of[edge[1]] = edge
-    table = df.as_dict()
     steps = list(zip(ordered, ordered[1:]))
     if circuit and len(ordered) > 1:
         steps.append((ordered[-1], ordered[0]))
@@ -199,12 +158,23 @@ def _audit_alternation(df: DoubleFlow, ordered, stops, circuit: bool) -> None:
 
 
 def decompose(df: DoubleFlow) -> Decomposition:
-    """Classify the multiplicity-one subgraph; reject any component that is
-    neither a circuit nor a path with admissible endpoints."""
+    """Split the multiplicity-one subgraph into circuits and paths.
+
+    Each vertex of the split network carries one split-edge, so no vertex of
+    a superposition meets more than two multiplicity-one edges; a vertex that
+    does is rejected up front.  Every component is then walked once, in order
+    of its smallest vertex: a circuit from that vertex, a path from its
+    gamma(A) end.  A path without admissible endpoints is rejected."""
     net = df.network
     ctx = df.context
-    ones = df.level_edges(1)
-    adjacency, comps = _components(ones)
+    adjacency: dict[str, list[tuple[tuple[str, str], str]]] = {}
+    for e in df.level_edges(1):
+        adjacency.setdefault(e[0], []).append((e, e[1]))
+        adjacency.setdefault(e[1], []).append((e, e[0]))
+    if any(len(around) > 2 for around in adjacency.values()):
+        raise DoubleFlowError("component is neither a circuit nor a simple path")
+    split_of = {v: e for e, kind in zip(net.edges, net.edge_kinds) if kind == SPLIT for v in e}
+    table = df.as_dict()
 
     source_pos = {v: i + 1 for i, v in enumerate(net.sources)}
     sink_pos = {v: j + 1 for j, v in enumerate(net.sinks)}
@@ -212,45 +182,44 @@ def decompose(df: DoubleFlow) -> Decomposition:
     comp_a = {ctx.gamma(b) for b in range(1, len(ctx.y_list) + 1) if b not in ctx.a_set}
     lo, hi = len(ctx.x_set) + ctx.q, len(ctx.x_set) + ctx.p
 
+    def end_kind(v):
+        if source_pos.get(v) in ga:
+            return "A"
+        if source_pos.get(v) in comp_a:
+            return "B"
+        if lo < sink_pos.get(v, 0) <= hi:
+            return "T"
+        raise DoubleFlowError(f"path endpoint {v!r} is not an admissible terminal")
+
     circuits = []
     paths = []
     essential = []
     arcs = []
-    for verts, comp_edges in comps:
-        degree = Counter()
-        for u, v in comp_edges:
-            degree[u] += 1
-            degree[v] += 1
-        odd = sorted(v for v in verts if degree[v] == 1)
-        if not odd and all(degree[v] == 2 for v in verts):
-            ordered, stops = _walk(adjacency, comp_edges, min(verts))
-            _audit_alternation(df, ordered, stops, circuit=True)
-            circuits.append(tuple(ordered))
+    touched = set()
+    for v in sorted(adjacency):
+        if v in touched:
             continue
-        if len(odd) != 2 or any(degree[v] > 2 for v in verts):
-            raise DoubleFlowError("component is neither a circuit nor a simple path")
-        ends = []
-        for v in odd:
-            if v in source_pos and source_pos[v] in ga:
-                ends.append(("A", source_pos[v]))
-            elif v in source_pos and source_pos[v] in comp_a:
-                ends.append(("B", source_pos[v]))
-            elif v in sink_pos and lo < sink_pos[v] <= hi:
-                ends.append(("T", sink_pos[v]))
-            else:
-                raise DoubleFlowError(f"path endpoint {v!r} is not an admissible terminal")
-        kinds = sorted(kind for kind, _ in ends)
+        walked, stops = _walk(adjacency, v)
+        if stops[-1] == v:
+            touched.update(stops)
+            _audit_alternation(walked, stops, split_of, table, circuit=True)
+            circuits.append(tuple(walked))
+            continue
+        walked, stops = _walk(adjacency, stops[-1])
+        touched.update(stops)
+        ends = sorted((stops[0], stops[-1]))
+        kinds = sorted(end_kind(end) for end in ends)
         if kinds.count("A") != 1:
             raise DoubleFlowError("path must have exactly one end on the gamma(A) side")
-        start = next(v for v in odd if source_pos.get(v) in ga)
-        walked, stops = _walk(adjacency, comp_edges, start)
-        _audit_alternation(df, walked, stops, circuit=False)
+        if end_kind(stops[0]) != "A":
+            walked.reverse()
+            stops.reverse()
+        _audit_alternation(walked, stops, split_of, table, circuit=False)
         ordered = tuple(walked)
         paths.append(ordered)
         if kinds == ["A", "B"]:
             essential.append(ordered)
-            pair = sorted(ctx.gamma_inv(source_pos[v]) for v in odd)
-            arcs.append((pair[0], pair[1]))
+            arcs.append(tuple(sorted(ctx.gamma_inv(source_pos[end]) for end in ends)))
 
     matching = NestedMatching(tuple(arcs), len(ctx.y_list))
     if len(paths) != ctx.p or len(essential) != ctx.q:

@@ -307,7 +307,10 @@ def parse_poly(text: str) -> Poly:
             except ValueError:
                 pass
             name, _, e = part.partition("^")
-            exps[name] = exps.get(name, 0) + (int(e) if e else 1)
+            exp = int(e) if e else 1
+            if exp < 1:
+                raise SemiringError(f"exponent below 1 in term {part!r}")
+            exps[name] = exps.get(name, 0) + exp
         terms.append((tuple(sorted(exps.items())), coeff))
     return Poly(terms)
 

@@ -139,6 +139,39 @@ def test_counterexample_command(pair_files, tmp_path, capsys):
     assert code == 2
 
 
+def test_counterexample_network_out_unwritable(pair_files, tmp_path, capsys):
+    _, bad = pair_files
+    target = str(tmp_path / "missing" / "gadget.net")
+    code, out, err = run(capsys, ["counterexample", bad, "--network-out", target])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write network {target!r}")
+    good, _ = pair_files
+    code, out, err = run(capsys, ["counterexample", good])
+    assert (code, out, err) == (2, "", "error: pair is balanced; no counterexample exists\n")
+
+
+def test_gen_family_pi0_out_of_range(capsys):
+    # 0 and negative indices must not wrap around to the last arcs
+    for index in ("0", "-1", "3"):
+        argv = ["gen-family", "interval-exchange", "-p", "3", "-q", "2", "--pi0", index]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --pi0 indices must lie in 1..2\n"
+
+
+def test_verify_trials_below_one(tmp_path, capsys):
+    pair = tmp_path / "pair.txt"
+    pair.write_text(UNBALANCED)
+    for mode in ("numeric", "tropical"):
+        for trials in ("0", "-2"):
+            code, out, err = run(capsys, ["verify", str(pair), "--mode", mode, "--trials", trials])
+            assert (code, out) == (2, "")
+            assert err == "error: --trials must be at least 1\n"
+    # symbolic mode does not read --trials
+    code, out, _ = run(capsys, ["verify", "family:triple", "--mode", "symbolic", "--trials", "0"])
+    assert code == 0 and "pass" in out
+
+
 def test_gen_family_roundtrips(capsys, tmp_path):
     code, out, _ = run(capsys, ["gen-family", "triple"])
     assert code == 0
@@ -197,6 +230,16 @@ def test_lindstrom_zero_denominator_weight(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert "error:" in err and "zero denominator" in err
+
+
+def test_lindstrom_polyint_weight_exponent_below_one(tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    for value in ("a^0", "a^-1"):
+        weights.write_text(f"1,1 {value}\n")
+        argv = ["lindstrom", "--network", "halfgrid:2", "--weights", str(weights), "--carrier", "polyint"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err and repr(value) in err
 
 
 def test_flows_on_a_long_chain(tmp_path, capsys):

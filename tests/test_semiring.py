@@ -210,6 +210,15 @@ def test_poly_render_format():
     assert parse_poly("0") == Poly()
 
 
+def test_parse_poly_rejects_exponent_below_one():
+    # exponents are at least 1 in the canonical form, so no term may carry
+    # a^0 or a negative power
+    for text, term in (("a^0", "a^0"), ("2·a^-1", "a^-1"), ("b + a^0·c", "a^0")):
+        with pytest.raises(SemiringError, match=term.replace("^", r"\^")):
+            parse_poly(text)
+    assert parse_poly("a^1·b") == Poly.variable("a") * Poly.variable("b")
+
+
 def test_starred_render_roundtrip():
     carrier = Starred(TROPICAL_RATIONAL)
     assert carrier.render(STAR) == "*"
