@@ -443,3 +443,39 @@ def test_decompose_pinned_digest():
     assert count == 2559
     assert genuine.hexdigest() == "21cbc85663001857c3595842ac4dae854fe9d996425d36412e15238dc4186e24"
     assert flipped.hexdigest() == "5648bfa5c56605d8f46dcd6a02e459b8f834ae3a4ce511d613d61b389c7b08ba"
+
+
+def test_exchange_pinned_digest():
+    # paths, source and sink indices of both exchanged flows, for every
+    # subset of essential arcs of the first three flows per index set
+    nets = (
+        build_half_grid(3),
+        build_half_grid(4),
+        build_half_grid(5),
+        random_grid_network(4, 2, random.Random(1)),
+        random_grid_network(4, 2, random.Random(2)),
+        random_grid_network(4, 2, random.Random(3)),
+    )
+    digest = hashlib.sha256()
+    count = 0
+    for net in nets:
+        split = vertex_split(net)
+        n = len(split.sources)
+        subsets = [I for r in range(n + 1) for I in combinations(range(1, n + 1), r)]
+        flows = {I: enumerate_flag_flows(split, I)[:3] for I in subsets}
+        for I in subsets:
+            for J in subsets:
+                if len(set(I) - set(J)) < len(set(J) - set(I)):
+                    continue
+                for phi in flows[I]:
+                    for phi_prime in flows[J]:
+                        arcs = decompose(superpose(phi, phi_prime)).essential_arcs
+                        for k in range(len(arcs) + 1):
+                            for chosen in combinations(arcs, k):
+                                psi, psi_prime = exchange_flows(phi, phi_prime, chosen)
+                                assert psi.network is split and psi_prime.network is split
+                                for f in (psi, psi_prime):
+                                    digest.update(repr((f.paths, f.source_indices, f.sink_indices)).encode())
+                                count += 1
+    assert count == 6821
+    assert digest.hexdigest() == "dbc2f92b4d5734c7c0d9f0f8f747cca276d930d6d5a3f362dd47eb22ff6de788"
