@@ -261,63 +261,45 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     return count
 
 
-def _flow_from_edges(net: PlanarNetwork, edges: frozenset[tuple[str, str]]) -> Flow:
-    out = {}
-    for u, v in edges:
-        if u in out:
-            raise DoubleFlowError("edge set does not define disjoint paths")
-        out[u] = v
-    heads = {v for _, v in edges}
-    source_pos = {v: i + 1 for i, v in enumerate(net.sources)}
-    sink_pos = {v: j + 1 for j, v in enumerate(net.sinks)}
-    found = []
-    for s in net.sources:
-        if s in out and s not in heads:
-            path = [s]
-            while path[-1] in out:
-                path.append(out[path[-1]])
-            last = path[-1]
-            if last not in sink_pos:
-                raise DoubleFlowError(f"path from {s!r} does not end in a sink")
-            found.append((sink_pos[last], source_pos[s], tuple(path)))
-    found.sort()
-    sink_ids = tuple(k for k, _, _ in found)
-    if sink_ids != tuple(range(1, len(found) + 1)):
-        raise DoubleFlowError("paths do not reach the first sinks")
-    sources = tuple(i for _, i, _ in found)
-    if sources != tuple(sorted(sources)):
-        raise DoubleFlowError("path system is not order preserving")
-    used = sum(len(p) - 1 for _, _, p in found)
-    if used != len(edges):
-        raise DoubleFlowError("edge set contains stray edges")
-    return Flow(
-        paths=tuple(p for _, _, p in found),
-        source_indices=sources,
-        sink_indices=sink_ids,
-        network=net,
-    )
-
-
 def exchange_flows(phi: Flow, phi_prime: Flow, chosen) -> tuple[Flow, Flow]:
     """Swap the two flows' alternating pieces along the essential paths of the
     selected arcs; the superposition is unchanged and the new pair realizes
-    A xor (union of the chosen arcs)."""
+    A xor (union of the chosen arcs).
+
+    The new index sets I(A'), J(A') are known up front, so each new flow is
+    walked through its exchanged edge set from the sources of its own index
+    set, in index order.  One check follows: the walked paths are
+    vertex-disjoint, end at the first sinks in order and use every edge."""
     df = superpose(phi, phi_prime)
     dec = decompose(df)
-    ctx = df.context
+    ctx, net = df.context, df.network
     chosen = {tuple(arc) for arc in chosen}
     available = dict(zip(dec.essential_arcs, dec.essential_paths))
     if not chosen <= set(available):
         raise DoubleFlowError("chosen arcs are not essential arcs of this double flow")
-    swap: set[tuple[str, str]] = set()
-    for arc in chosen:
-        swap.update(available[arc])
-    new_a = frozenset(ctx.a_set) ^ {x for arc in chosen for x in arc}
-    e1 = frozenset(phi.edges()) ^ swap
-    e2 = frozenset(phi_prime.edges()) ^ swap
-    psi = _flow_from_edges(df.network, e1)
-    psi_prime = _flow_from_edges(df.network, e2)
-    I, J = ctx.index_sets(new_a)
-    if psi.source_indices != I or psi_prime.source_indices != J:
-        raise DoubleFlowError("exchange produced unexpected index sets")
-    return psi, psi_prime
+    swap = {e for arc in chosen for e in available[arc]}
+    I, J = ctx.index_sets(ctx.a_set ^ {x for arc in chosen for x in arc})
+
+    def walk(edges: frozenset[tuple[str, str]], indices: tuple[int, ...]) -> Flow:
+        out = dict(edges)
+        paths = []
+        for i in indices:
+            path = [net.sources[i - 1]]
+            while path[-1] in out:
+                path.append(out[path[-1]])
+            paths.append(tuple(path))
+        visited = [v for path in paths for v in path]
+        if (
+            len(set(visited)) != len(visited)
+            or tuple(path[-1] for path in paths) != net.sinks[: len(paths)]
+            or len(visited) - len(paths) != len(edges)
+        ):
+            raise DoubleFlowError("exchanged edges do not form a flag flow for the new index sets")
+        return Flow(
+            paths=tuple(paths),
+            source_indices=indices,
+            sink_indices=tuple(range(1, len(paths) + 1)),
+            network=net,
+        )
+
+    return walk(frozenset(phi.edges()) ^ swap, I), walk(frozenset(phi_prime.edges()) ^ swap, J)

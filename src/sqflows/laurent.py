@@ -63,6 +63,18 @@ def intervals_of(weighting: Mapping, n: int, carrier: Carrier) -> dict[Interval,
     return out
 
 
+def _weight_ratio(i: int, j: int):
+    """Intervals in the numerator and denominator of w(i, j); None marks the
+    unit I_i0."""
+
+    def iv(ip, jp):
+        return None if jp == 0 else (ip - jp + 1, ip)
+
+    if i == j:
+        return [iv(i, j)], [iv(i, j - 1)]
+    return [iv(i, j), iv(i - 1, j - 1)], [iv(i - 1, j), iv(i, j - 1)]
+
+
 def weights_from_intervals(vals: Mapping[Interval, object], n: int, carrier: Carrier) -> dict[str, object]:
     """Invert the interval map: w(i, i) = f(I_ii) / f(I_i,i-1) on the diagonal
     and w(i, j) = (f(I_ij) f(I_i-1,j-1)) / (f(I_i-1,j) f(I_i,j-1)) below it,
@@ -70,36 +82,15 @@ def weights_from_intervals(vals: Mapping[Interval, object], n: int, carrier: Car
     if not carrier.has_div:
         raise SemiringError(f"{carrier.name} has no division")
 
-    def fval(i: int, j: int):
-        if j == 0:
-            return carrier.one
-        return vals[(i - j + 1, i)]
+    def product(ivs):
+        return carrier.product(carrier.one if iv is None else vals[iv] for iv in ivs)
 
     out = {}
     for i in range(1, n + 1):
         for j in range(1, i + 1):
-            if i == j:
-                w = carrier.div(fval(i, j), fval(i, j - 1))
-            else:
-                num = carrier.mul(fval(i, j), fval(i - 1, j - 1))
-                den = carrier.mul(fval(i - 1, j), fval(i, j - 1))
-                w = carrier.div(num, den)
-            out[half_grid_vertex(i, j)] = w
+            num, den = _weight_ratio(i, j)
+            out[half_grid_vertex(i, j)] = carrier.div(product(num), product(den))
     return out
-
-
-def _weight_ratio(i: int, j: int):
-    """Intervals appearing in the numerator and denominator of w(i, j)."""
-
-    def iv(ip, jp):
-        return None if jp == 0 else (ip - jp + 1, ip)
-
-    if i == j:
-        num, den = [iv(i, j)], [iv(i, j - 1)]
-    else:
-        num = [iv(i, j), iv(i - 1, j - 1)]
-        den = [iv(i - 1, j), iv(i, j - 1)]
-    return [x for x in num if x], [x for x in den if x]
 
 
 Monomial = tuple[tuple[Interval, int], ...]
@@ -155,7 +146,7 @@ def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             num, den = _weight_ratio(i, j)
-            degrees[half_grid_vertex(i, j)] = [(iv, 1) for iv in num] + [(iv, -1) for iv in den]
+            degrees[half_grid_vertex(i, j)] = [(iv, 1) for iv in num if iv] + [(iv, -1) for iv in den if iv]
     monos = []
     for flow in enumerate_flag_flows(net, A):
         degree: Counter = Counter()
@@ -178,34 +169,41 @@ def reconstruct_from_intervals(
     with i = min A, k = max A, X = A - {i,k} and a gap j, f(A) equals
     (f(Xij) f(Xk) + f(Xjk) f(Xi)) / f(Xj); induction on max - min.
 
-    ``j_choice`` pins the gap used at the top level (any admissible gap gives
-    the same value); recursive levels always take the smallest gap."""
+    ``j_choice`` pins the gap used for A itself (any admissible gap gives the
+    same value); every other set takes its smallest gap.  The five sets a step
+    reads all have smaller span, so a post-order walk on an explicit stack
+    computes each set once, after its parts."""
     if not carrier.has_div:
         raise SemiringError(f"{carrier.name} has no division")
     A = frozenset(a_set)
     if not A or not A <= set(range(1, n + 1)):
         raise LaurentError(f"A must be a nonempty subset of [{n}]")
+    lo, hi = min(A), max(A)
+    gaps = [j for j in range(lo + 1, hi) if j not in A]
+    if not gaps:
+        return vals[(lo, hi)]
+    if j_choice is None:
+        j_choice = gaps[0]
+    elif j_choice not in gaps:
+        raise LaurentError(f"{j_choice} is not a gap of {sorted(A)}")
     memo: dict[frozenset[int], object] = {}
-
-    def value(s: frozenset[int], forced_gap: int | None = None):
-        if s in memo and forced_gap is None:
-            return memo[s]
+    stack = [A]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
         lo, hi = min(s), max(s)
         if len(s) == hi - lo + 1:
-            result = vals[(lo, hi)]
+            memo[s] = vals[(lo, hi)]
+            continue
+        gap = j_choice if s == A else next(j for j in range(lo + 1, hi) if j not in s)
+        x = s - {lo, hi}
+        parts = (x | {lo, gap}, x | {hi}, x | {gap, hi}, x | {lo}, x | {gap})
+        missing = [t for t in parts if t not in memo]
+        if missing:
+            stack.extend(missing)
         else:
-            gaps = [j for j in range(lo + 1, hi) if j not in s]
-            gap = forced_gap if forced_gap is not None else gaps[0]
-            if gap not in gaps:
-                raise LaurentError(f"{gap} is not a gap of {sorted(s)}")
-            x = s - {lo, hi}
-            num = carrier.add(
-                carrier.mul(value(x | {lo, gap}), value(x | {hi})),
-                carrier.mul(value(x | {gap, hi}), value(x | {lo})),
-            )
-            result = carrier.div(num, value(x | {gap}))
-        if forced_gap is None:
-            memo[s] = result
-        return result
-
-    return value(A, j_choice)
+            a, b, c, d, e = (memo[t] for t in parts)
+            memo[s] = carrier.div(carrier.add(carrier.mul(a, b), carrier.mul(c, d)), e)
+    return memo[A]

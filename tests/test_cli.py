@@ -295,3 +295,28 @@ def test_network_file_input(tmp_path, capsys):
     code, _, err = run(capsys, ["flows", "--network", str(bad), "-I", "1"])
     assert code == 2
     assert "cycle" in err
+
+
+PARALLEL_EDGES = "vertex a\nvertex b\nvertex c\nvertex d\nedge a c\nedge b d\nsources a b\nsinks c d\n"
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["flows", "--network", "halfgrid:x", "-I", "1"], {}),
+        (["flows", "--network", "{dir}/missing.net", "-I", "1"], {}),
+        (["flows", "--network", "halfgrid:4", "-I", "1,a"], {}),
+        (["verify", "family:quintuple", "--network", "halfgrid:4"], {}),
+        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/w.txt"], {"w.txt": "1,1\n"}),
+        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/missing.txt"], {}),
+        (["doubleflow-audit", "--network", "{dir}/two.net", "-I", "2", "-J", "1"], {"two.net": PARALLEL_EDGES}),
+    ],
+    ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
+         "weight-line", "weights-missing", "no-flag-flow"],
+)
+def test_input_error_cases(argv, files, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")

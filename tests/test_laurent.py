@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -212,6 +213,16 @@ def test_reconstruct_validation():
         reconstruct_from_intervals(vals, (), 3, POSITIVE_RATIONAL)
     with pytest.raises(LaurentError):
         reconstruct_from_intervals(vals, {1, 3}, 3, POSITIVE_RATIONAL, j_choice=3)
+
+
+def test_reconstruct_wide_span():
+    # one elimination step per unit of span: 1198 levels, deeper than the
+    # interpreter's recursion limit; the defaultdict stands in for the
+    # 720 600 interval values, all one
+    vals = defaultdict(lambda: Fraction(1))
+    got = reconstruct_from_intervals(vals, {1, 3, 1200}, 1200, POSITIVE_RATIONAL)
+    assert got == Fraction(1435203) == 1198**2 - 1
+    assert reconstruct_from_intervals(vals, {1, 3, 200}, 200, POSITIVE_RATIONAL) == 39203
 
 
 def test_render_format():
