@@ -217,3 +217,140 @@ def test_side_sums_match_multiset_counts():
             lcount = sum(1 for a in c1.members if is_feasible(m, a))
             rcount = sum(1 for a in c2.members if is_feasible(m, a))
             assert lhs == lcount and rhs == rcount
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of its ValueError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _family_outcomes():
+    # every family for every (p, q) with p + q <= 9, the invalid ones included
+    from sqflows.relations import (
+        base_matching,
+        family_groebner,
+        family_interval_exchange,
+        family_tail_fixed,
+    )
+
+    for n in range(10):
+        for p in range(n + 1):
+            q = n - p
+            m0 = base_matching(p, q)
+            for r in range(len(m0) + 1):
+                for chosen in combinations(m0, r):
+                    yield _outcome(family_interval_exchange, p, q, chosen)
+            tail = range(p + 1, p + q + 1)
+            for r in range(len(tail) + 1):
+                for q_tail in combinations(tail, r):
+                    yield _outcome(family_tail_fixed, p, q, q_tail)
+            for b in combinations(range(1, n + 1), p):
+                for d in (None, *range(q + 2)):
+                    yield _outcome(family_groebner, p, q, b, d)
+
+
+def _random_pairs(rng, count):
+    for _ in range(count):
+        p = rng.randint(1, 4)
+        q = rng.randint(1, 7 - p)
+        pool = list(combinations(range(1, p + q + 1), p))
+        yield tuple(
+            collection(p, q, [rng.choice(pool) for _ in range(rng.randint(1, 4))]) for _ in range(2)
+        )
+
+
+def test_combinatorics_pinned_digest():
+    # families, gadget network text, augmentations and balance verdicts,
+    # each folded into one sha256
+    import hashlib
+
+    from sqflows.network import write_network
+    from sqflows.relations import QuadraticRelation
+
+    digests = {}
+    counts = {}
+
+    def pin(key, items):
+        h = hashlib.sha256()
+        counts[key] = 0
+        for item in items:
+            h.update(repr(item).encode())
+            counts[key] += 1
+        digests[key] = h.hexdigest()
+
+    def family_members():
+        for out in _family_outcomes():
+            yield (out.lhs.members, out.rhs.members) if isinstance(out, QuadraticRelation) else out
+
+    def gadgets():
+        for p in range(1, 7):
+            for m in enumerate_nested_matchings(2 * p, p):
+                for connect in (False, True):
+                    g = build_gadget_network(m, connect)
+                    yield g.p, write_network(g.network)
+
+    def augmentations():
+        for n in range(1, 11):
+            for q in range(n // 2 + 1):
+                for m in enumerate_nested_matchings(n, q):
+                    yield augment_matching(m, n - q, q).result.arcs
+
+    def balances():
+        rng = random.Random("balance-digest")
+        for lhs, rhs in _random_pairs(rng, 300):
+            r = is_balanced(lhs, rhs)
+            yield r.balanced, r.witness and r.witness.arcs, r.lhs_count, r.rhs_count
+        for out in _family_outcomes():
+            if isinstance(out, QuadraticRelation) and out.p + out.q <= 6:
+                dropped = collection(out.p, out.q, out.lhs.members[1:])
+                for lhs in (out.lhs, dropped):
+                    r = is_balanced(lhs, out.rhs)
+                    yield r.balanced, r.witness and r.witness.arcs, r.lhs_count, r.rhs_count
+
+    def inequalities():
+        rng = random.Random("inequality-digest")
+        for lhs, rhs in _random_pairs(rng, 40):
+            if lhs.p + lhs.q <= 5:
+                r = _outcome(evaluate_inequality, lhs, rhs)
+                if isinstance(r, tuple):
+                    yield r
+                else:
+                    yield r.witness.arcs, r.augmented.result.arcs, r.lhs_sum, r.rhs_sum, r.p1_p2_verified
+
+    pin("families", family_members())
+    pin("gadgets", gadgets())
+    pin("augmentations", augmentations())
+    pin("balances", balances())
+    pin("inequalities", inequalities())
+    assert counts == {
+        "families": 11238,
+        "gadgets": 392,
+        "augmentations": 525,
+        "balances": 498,
+        "inequalities": 15,
+    }
+    assert digests == {
+        "families": "c80a0d1393acb1b72fa0c9d1d2a1eb95008dac0237749a68a42002939b775782",
+        "gadgets": "7faf4316f730707987186530a5db95095e5691bc536f32cd7a2dbea1c93caad6",
+        "augmentations": "be13b3e8d7842bc15b898cfffaeba5fef5f810b411cf84b3eff87601baa11344",
+        "balances": "2ace44e9a1cbd90dc3902e94e1d6f52e793894b19b4c535e3f1e847f101c1d2e",
+        "inequalities": "eca7376a59867cfcd4b466377d41c060d922a17984d255791d7424453df4d669",
+    }
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: augment_matching(NestedMatching(((1, 2),), 3), 1, 2), "augmentation needs p >= q"),
+        (lambda: build_gadget_network(NestedMatching(((1, 2), (2, 3)), 4)),
+         "gadget needs a matching without free elements"),
+        (lambda: build_gadget_network(NestedMatching(((1, 3), (2, 4)), 4)), "not a nested matching"),
+    ],
+    ids=["augment-p-below-q", "gadget-free-elements", "gadget-crossing"],
+)
+def test_gadget_input_errors(build, message):
+    with pytest.raises(GadgetError, match=f"^{message}$"):
+        build()

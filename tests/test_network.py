@@ -66,6 +66,40 @@ def test_validate_duplicates_and_dangling():
     assert any("dangling edge" in p for p in problems)
 
 
+
+def _problems(make):
+    """validate() of the network make() builds, or the NetworkError it raises."""
+    try:
+        net = make()
+    except NetworkError as exc:
+        return [str(exc)]
+    return validate(net)
+
+
+def _ab(edges=(("a", "b"),), sources=("a",), sinks=("b",), vertices=("a", "b"), edge_kinds=()):
+    return PlanarNetwork(vertices=vertices, edges=edges, sources=sources, sinks=sinks, edge_kinds=edge_kinds)
+
+
+@pytest.mark.parametrize(
+    "make, problems",
+    [
+        (lambda: _ab(vertices=("a", "a", "b")), ["duplicate vertex: a"]),
+        (lambda: _ab(sources=("x",)), ["source not a vertex: x"]),
+        (lambda: _ab(sinks=("y",)), ["sink not a vertex: y"]),
+        (lambda: _ab(edges=(("a", "b"), ("c", "b"))), ["dangling edge (c, b): unknown tail"]),
+        (lambda: _ab(edges=(("a", "b"), ("b", "b"))), ["self-loop at b", "cycle: b -> b"]),
+        (lambda: _ab(edges=(("a", "b"), ("a", "b"))), ["duplicate edge (a, b)"]),
+        (lambda: _ab(edge_kinds=(ORDINARY, SPLIT)), ["edge kind list does not match edge list"]),
+        (lambda: parse_network("vertex a 1\nsources a\nsinks a\n"), ["line 1: vertex takes id or id x y"]),
+        (lambda: parse_network("vertex a 1 y\nsources a\nsinks a\n"), ["line 1: bad coordinates"]),
+        (lambda: build_half_grid(0), ["half-grid needs n >= 1"]),
+    ],
+    ids=["duplicate-vertex", "source-not-vertex", "sink-not-vertex", "unknown-tail", "self-loop",
+         "duplicate-edge", "edge-kinds-length", "vertex-arity", "bad-coordinates", "half-grid-zero"],
+)
+def test_network_check_messages(make, problems):
+    assert _problems(make) == problems
+
 def test_validate_allows_end_coincidence():
     # s_1 = t_1 is legal (single-vertex half-grid) but an interior clash is not
     assert validate(build_half_grid(1)) == []
