@@ -49,9 +49,12 @@ def _load_network(spec: str) -> nw.PlanarNetwork:
 def _load_pair(path: str) -> tuple[mt.Collection, mt.Collection]:
     try:
         with open(path, encoding="utf-8") as handle:
-            return mt.parse_collection_pair(handle.read())
+            lhs, rhs = mt.parse_collection_pair(handle.read())
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from None
+    if lhs.p < lhs.q or lhs.q < 1:
+        raise CliError("relations need p >= q >= 1")
+    return lhs, rhs
 
 
 # The relations without parameters, by name: `verify family:<name>` and

@@ -306,7 +306,11 @@ def parse_poly(text: str) -> Poly:
                 continue
             except ValueError:
                 pass
-            name, _, e = part.partition("^")
+            name, caret, e = part.partition("^")
+            if not name:
+                raise SemiringError(f"empty variable name in term {chunk!r}")
+            if caret and not e:
+                raise SemiringError(f"empty exponent in term {chunk!r}")
             exp = int(e) if e else 1
             if exp < 1:
                 raise SemiringError(f"exponent below 1 in term {part!r}")

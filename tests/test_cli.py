@@ -300,23 +300,53 @@ def test_network_file_input(tmp_path, capsys):
 PARALLEL_EDGES = "vertex a\nvertex b\nvertex c\nvertex d\nedge a c\nedge b d\nsources a b\nsinks c d\n"
 
 
+SELF_LOOP = "vertex a\nvertex b\nedge a a\nedge a b\nsources a\nsinks b\n"
+P_BELOW_Q = "1 2\n1\n--\n2\n"
+Q_ZERO = "2 0\n1 2\n1 2\n--\n1 2\n"
+MALFORMED_POLY = "a \u00b7\nb x^\n"
+
+
 @pytest.mark.parametrize(
-    "argv, files",
+    "argv, files, message",
     [
-        (["flows", "--network", "halfgrid:x", "-I", "1"], {}),
-        (["flows", "--network", "{dir}/missing.net", "-I", "1"], {}),
-        (["flows", "--network", "halfgrid:4", "-I", "1,a"], {}),
-        (["verify", "family:quintuple", "--network", "halfgrid:4"], {}),
-        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/w.txt"], {"w.txt": "1,1\n"}),
-        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/missing.txt"], {}),
-        (["doubleflow-audit", "--network", "{dir}/two.net", "-I", "2", "-J", "1"], {"two.net": PARALLEL_EDGES}),
+        (["flows", "--network", "halfgrid:x", "-I", "1"], {}, "bad half-grid size"),
+        (["flows", "--network", "{dir}/missing.net", "-I", "1"], {}, "cannot read network"),
+        (["flows", "--network", "halfgrid:4", "-I", "1,a"], {}, "bad integer list '1,a'"),
+        (["verify", "family:quintuple", "--network", "halfgrid:4"], {},
+         "network has too few sources for this relation"),
+        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/w.txt"], {"w.txt": "1,1\n"},
+         "bad weight line '1,1'"),
+        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/missing.txt"], {}, "cannot read weights"),
+        (["doubleflow-audit", "--network", "{dir}/two.net", "-I", "2", "-J", "1"], {"two.net": PARALLEL_EDGES},
+         "one of the index sets admits no flag flow"),
+        (["gen-family", "tail-fixed", "-p", "2", "-q", "3"], {}, "family needs p >= q >= 1"),
+        (["gen-family", "groebner", "-p", "2", "-q", "1", "--B", "1,9"], {}, "B must be a 2-subset of [3]"),
+        (["gen-family", "groebner", "-p", "2", "-q", "1", "--B", "2,3", "--d", "2"], {},
+         "d = 2 does not satisfy b_d > complement_d"),
+        (["flows", "--network", "halfgrid:0", "-I", "1"], {}, "half-grid needs n >= 1"),
+        (["flows", "--network", "{dir}/loop.net", "-I", "1"], {"loop.net": SELF_LOOP},
+         "invalid network: self-loop at a; cycle: a -> a"),
+        (["check-balance", "{dir}/pair.txt"], {"pair.txt": P_BELOW_Q}, "relations need p >= q >= 1"),
+        (["counterexample", "{dir}/pair.txt"], {"pair.txt": P_BELOW_Q}, "relations need p >= q >= 1"),
+        (["verify", "{dir}/pair.txt"], {"pair.txt": P_BELOW_Q}, "relations need p >= q >= 1"),
+        (["check-balance", "{dir}/pair.txt"], {"pair.txt": Q_ZERO}, "relations need p >= q >= 1"),
+        (["counterexample", "{dir}/pair.txt"], {"pair.txt": Q_ZERO}, "relations need p >= q >= 1"),
+        (["verify", "{dir}/pair.txt"], {"pair.txt": Q_ZERO}, "relations need p >= q >= 1"),
+        (["lindstrom", "--network", "{dir}/ab.net", "--carrier", "polyint", "--weights", "{dir}/w.txt"],
+         {"ab.net": "vertex a\nvertex b\nedge a b\nsources a\nsinks b\n", "w.txt": MALFORMED_POLY},
+         "empty variable name in term '\u00b7'"),
     ],
     ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
-         "weight-line", "weights-missing", "no-flag-flow"],
+         "weight-line", "weights-missing", "no-flag-flow",
+         "tail-fixed-p-below-q", "groebner-B-outside", "groebner-bad-d",
+         "halfgrid-zero", "self-loop",
+         "check-balance-p-below-q", "counterexample-p-below-q", "verify-p-below-q",
+         "check-balance-q-zero", "counterexample-q-zero", "verify-q-zero",
+         "polyint-malformed-term"],
 )
-def test_input_error_cases(argv, files, tmp_path, capsys):
+def test_input_error_cases(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     code, out, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
     assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    assert err.startswith("error: " + message)

@@ -217,6 +217,17 @@ def test_parse_poly_rejects_exponent_below_one():
         with pytest.raises(SemiringError, match=term.replace("^", r"\^")):
             parse_poly(text)
     assert parse_poly("a^1·b") == Poly.variable("a") * Poly.variable("b")
+    # a term with an empty variable name or an empty exponent is malformed
+    for text, message in (
+        ("", "empty variable name in term ''"),
+        ("·", "empty variable name in term '·'"),
+        ("2·", "empty variable name in term '2·'"),
+        ("^2", "empty variable name in term '^2'"),
+        ("x^", "empty exponent in term 'x^'"),
+    ):
+        with pytest.raises(SemiringError) as info:
+            parse_poly(text)
+        assert str(info.value) == message
 
 
 def test_starred_render_roundtrip():
