@@ -235,11 +235,8 @@ def cmd_gen_family(args) -> int:
         relation = rel.family_interval_exchange(args.p, args.q, chosen)
     elif name == "tail-fixed":
         relation = rel.family_tail_fixed(args.p, args.q, _int_list(args.tail))
-    elif name == "groebner":
-        b_set = _int_list(args.b_set)
-        relation = rel.family_groebner(args.p, args.q, b_set, args.d)
     else:
-        raise CliError(f"unknown family {name!r}")
+        relation = rel.family_groebner(args.p, args.q, _int_list(args.b_set), args.d)
     text = mt.write_collection_pair(relation.lhs, relation.rhs)
     _emit(
         args,

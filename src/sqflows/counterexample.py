@@ -60,8 +60,6 @@ def augment_matching(matching: NestedMatching, p: int, q: int) -> AugmentedMatch
     free = matching.free_elements()
     new_arcs = tuple((free[l - 1], 2 * p - l + 1) for l in range(1, p - q + 1))
     result = NestedMatching(matching.arcs + new_arcs, 2 * p)
-    if not (result.pairwise_disjoint() and result.is_nested() and result.free_uncovered()):
-        raise GadgetError("augmentation produced an invalid matching")
     return AugmentedMatching(original=matching, result=result, p=p, q=q)
 
 
@@ -95,28 +93,19 @@ def build_gadget_network(m_hat: NestedMatching, connect: bool = False) -> Gadget
         raise GadgetError("not a nested matching")
     p = two_p // 2
 
-    spans = {arc: (arc[1] - arc[0] + 1) // 2 for arc in m_hat.arcs}
-    for (i, j), delta in spans.items():
-        if (j - i) % 2 == 0:
-            raise GadgetError(f"arc ({i},{j}) has even length")
-
-    def predecessor(arc):
-        best = None
-        for other in m_hat.arcs:
-            if other == arc:
-                continue
-            if other[0] < arc[0] and arc[1] < other[1]:
-                if best is None or best[0] < other[0]:
-                    best = other
-        return best
-
+    # Every arc encloses only whole arcs, so each has odd length and the
+    # maximal arcs tile [2p].  The arcs come sorted by left end; an arc's
+    # parent is the innermost still-open arc on a stack of enclosing arcs.
     vertices = []
     coords = []
     edges = []
+    links = []
+    sinks = []
     source_vertex: dict[int, str] = {}
+    enclosing: list[tuple[int, int]] = []
     for arc in m_hat.arcs:
         i, j = arc
-        delta = spans[arc]
+        delta = (j - i + 1) // 2
         radius = (j - i) / 2
         center = (i + j) / 2
         names = []
@@ -132,22 +121,16 @@ def build_gadget_network(m_hat: NestedMatching, connect: bool = False) -> Gadget
         for l in range(1, delta + 1):
             edges.append((_v_name(arc, l - 1), _u_name(arc, l)))
             edges.append((_v_name(arc, l), _u_name(arc, l)))
-
-    for arc in m_hat.arcs:
-        pred = predecessor(arc)
-        if pred is None:
-            continue
-        i_alpha = arc[0]
-        offset = (i_alpha - pred[0] - 1) // 2
-        for l in range(1, spans[arc] + 1):
-            edges.append((_u_name(arc, l), _v_name(pred, offset + l)))
-
-    maximal = sorted(arc for arc in m_hat.arcs if predecessor(arc) is None)
-    sinks = []
-    for arc in maximal:
-        sinks.extend(_u_name(arc, l) for l in range(1, spans[arc] + 1))
-    if len(sinks) != p:
-        raise GadgetError("sink count mismatch")
+        while enclosing and enclosing[-1][1] < i:
+            enclosing.pop()
+        if enclosing:
+            parent = enclosing[-1]
+            offset = (i - parent[0] - 1) // 2
+            links.extend((_u_name(arc, l), _v_name(parent, offset + l)) for l in range(1, delta + 1))
+        else:
+            sinks.extend(_u_name(arc, l) for l in range(1, delta + 1))
+        enclosing.append(arc)
+    edges += links
 
     sources = tuple(source_vertex[k] for k in range(1, two_p + 1))
     if connect:

@@ -47,13 +47,9 @@ class NestedMatching:
         return len(ends) == len(set(ends))
 
     def is_nested(self) -> bool:
-        for (i1, j1), (i2, j2) in combinations(self.arcs, 2):
-            lo, hi = (i1, j1), (i2, j2)
-            disjoint = hi[0] > lo[1] or lo[0] > hi[1]
-            contains = (lo[0] <= hi[0] and hi[1] <= lo[1]) or (hi[0] <= lo[0] and lo[1] <= hi[1])
-            if not (disjoint or contains):
-                return False
-        return True
+        # with the arcs sorted, a pair neither disjoint nor one inside the
+        # other is exactly a crossing pair
+        return not any(i1 < i2 <= j1 < j2 for (i1, j1), (i2, j2) in combinations(self.arcs, 2))
 
     def free_uncovered(self) -> bool:
         ends = self.endpoints()
@@ -208,10 +204,8 @@ def is_balanced(lhs: Collection, rhs: Collection) -> BalanceResult:
     right = matching_multiset(rhs)
     if left == right:
         return BalanceResult(True, None, 0, 0)
-    for m in sorted(set(left) | set(right), key=lambda m: m.arcs):
-        if left[m] != right[m]:
-            return BalanceResult(False, m, left[m], right[m])
-    raise AssertionError("unreachable")
+    m = min((m for m in left.keys() | right.keys() if left[m] != right[m]), key=lambda m: m.arcs)
+    return BalanceResult(False, m, left[m], right[m])
 
 
 def parse_collection_pair(text: str) -> tuple[Collection, Collection]:

@@ -165,6 +165,16 @@ def base_matching(p: int, q: int) -> tuple[tuple[int, int], ...]:
     return tuple((p - i + 1, p + i) for i in range(1, q + 1))
 
 
+def _split_by_parity(p: int, q: int, fixed, free, shift: int = 0, extra=()) -> QuadraticRelation:
+    """The members fixed u z, z running over the (p - |fixed|)-subsets of free
+    (disjoint from fixed): those whose element sum differs from ``shift`` by
+    an odd number go left, after ``extra``, and the others right."""
+    pool = [(*fixed, *z) for z in combinations(free, p - len(fixed))]
+    odd = [a for a in pool if (sum(a) - shift) % 2]
+    even = [a for a in pool if not (sum(a) - shift) % 2]
+    return QuadraticRelation(p, q, collection(p, q, [*extra, *odd]), collection(p, q, even))
+
+
 def family_interval_exchange(p: int, q: int, pi0: Iterable[tuple[int, int]]) -> QuadraticRelation:
     """Balanced family built from the base set [p] and an exchange over a
     nonempty subset of its matching: members share the exchanged tail R and
@@ -185,15 +195,7 @@ def family_interval_exchange(p: int, q: int, pi0: Iterable[tuple[int, int]]) -> 
             right.add(p + i)
         else:
             left.add(p - i + 1)
-    b1 = tuple(sorted(left | right))
-    sigma_b1 = sum(b1)
-    pool = [
-        tuple(sorted(set(head) | right))
-        for head in combinations(range(1, p + 1), p - len(right))
-    ]
-    odd = [a for a in pool if (sum(a) - sigma_b1) % 2 == 1]
-    even = [a for a in pool if (sum(a) - sigma_b1) % 2 == 0]
-    return QuadraticRelation(p, q, collection(p, q, [b0] + odd), collection(p, q, even))
+    return _split_by_parity(p, q, right, b0, shift=sum(left | right), extra=(b0,))
 
 
 def family_tail_fixed(p: int, q: int, q_tail: Iterable[int]) -> QuadraticRelation:
@@ -206,13 +208,7 @@ def family_tail_fixed(p: int, q: int, q_tail: Iterable[int]) -> QuadraticRelatio
     if not q_set <= tail_range:
         raise RelationError(f"Q must lie inside [{p + 2}..{p + q}]")
     head_range = [x for x in range(1, p + q + 1) if x not in tail_range]
-    pool = [
-        tuple(sorted(set(head) | q_set))
-        for head in combinations(head_range, p - len(q_set))
-    ]
-    odd = [a for a in pool if sum(a) % 2 == 1]
-    even = [a for a in pool if sum(a) % 2 == 0]
-    return QuadraticRelation(p, q, collection(p, q, odd), collection(p, q, even))
+    return _split_by_parity(p, q, q_set, head_range)
 
 
 def dominance_leq(a: Iterable[int], b: Iterable[int]) -> bool:
@@ -244,17 +240,7 @@ def family_groebner(p: int, q: int, b_set: Iterable[int], d: int | None = None) 
         d = candidates[0]
     if d not in candidates:
         raise RelationError(f"d = {d} does not satisfy b_d > complement_d")
-    b_left = b[: d - 1]
-    b_right = b[d - 1 :]
-    bbar_left = bbar[:d]
-    straddle = tuple(sorted(set(bbar_left) | set(b_right)))
-    pool = [
-        tuple(sorted(set(b_left) | set(z)))
-        for z in combinations(straddle, p - d + 1)
-    ]
-    odd = [a for a in pool if sum(a) % 2 == 1]
-    even = [a for a in pool if sum(a) % 2 == 0]
-    return QuadraticRelation(p, q, collection(p, q, odd), collection(p, q, even))
+    return _split_by_parity(p, q, b[: d - 1], bbar[:d] + b[d - 1 :])
 
 
 def grassmann_summands(
