@@ -204,8 +204,9 @@ def is_balanced(lhs: Collection, rhs: Collection) -> BalanceResult:
     right = matching_multiset(rhs)
     if left == right:
         return BalanceResult(True, None, 0, 0)
-    m = min((m for m in left.keys() | right.keys() if left[m] != right[m]), key=lambda m: m.arcs)
-    return BalanceResult(False, m, left[m], right[m])
+    differing = (m for m in left.keys() | right.keys() if left[m] != right[m])
+    witness = min(differing, key=lambda m: m.arcs)
+    return BalanceResult(False, witness, left[witness], right[witness])
 
 
 def parse_collection_pair(text: str) -> tuple[Collection, Collection]:
