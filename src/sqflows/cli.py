@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 for success or a passing check, 1 for a failing check or a found
-violation, 2 for input errors.  Identical argv and seed give byte-identical
-output; --format json wraps every report in {"schema": 1, "command", "ok",
-"data"}.
+Exit codes: 0 for success or a passing check (also when the reader closes
+stdout early), 1 for a failing check or a found violation, 2 for input errors.
+Identical argv and seed give byte-identical output; --format json wraps every
+report in {"schema": 1, "command", "ok", "data"}.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -420,7 +421,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): a normal end.  Pointing
+        # stdout at devnull lets the flush at interpreter exit succeed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

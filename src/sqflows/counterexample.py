@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .flows import FlowFunction, enumerate_flag_flows
+from .flows import FlowFunction
 from .matchings import (
     Collection,
     MatchingError,
@@ -26,8 +27,7 @@ from .matchings import (
     is_feasible,
 )
 from .network import PlanarNetwork
-from .relations import _sum_side
-from .semiring import EXACT_INT, Carrier
+from .semiring import EXACT_INT
 
 
 class GadgetError(ValueError):
@@ -68,6 +68,20 @@ class GadgetNetwork:
     network: PlanarNetwork
     matching: NestedMatching
     p: int
+
+    @cached_property
+    def flow_count(self) -> FlowFunction:
+        """Unit-weight f(I), the number of flag flows for I, memoized for the
+        life of the gadget."""
+        return FlowFunction(self.network, dict.fromkeys(self.network.vertices, 1), EXACT_INT)
+
+    def pair_count(self, a_set: Iterable[int]) -> int:
+        """f(A) * f(A-hat) under unit weights, A-hat the complement of A in
+        [2p]; A-hat is not counted when A has no flow."""
+        count = self.flow_count(a_set)
+        if count:
+            count *= self.flow_count(set(range(1, 2 * self.p + 1)).difference(a_set))
+        return count
 
 
 def _u_name(arc, l):
@@ -152,21 +166,14 @@ def build_gadget_network(m_hat: NestedMatching, connect: bool = False) -> Gadget
 
 
 def verify_P1_P2(gadget: GadgetNetwork, matching: NestedMatching, p: int, q: int) -> bool:
-    """Exhaustively check: feasible A gives exactly one A-flow and one
-    complement-flow; infeasible A leaves at least one side without flows."""
-    aug = augment_matching(matching, p, q)
-    n = p + q
-    for a_tuple in combinations(range(1, n + 1), p):
-        a_set = frozenset(a_tuple)
-        count_a = len(enumerate_flag_flows(gadget.network, a_set))
-        count_hat = len(enumerate_flag_flows(gadget.network, aug.complement(a_set)))
-        if is_feasible(matching, a_set):
-            if count_a != 1 or count_hat != 1:
-                return False
-        else:
-            if count_a != 0 and count_hat != 0:
-                return False
-    return True
+    """Exhaustively check P1/P2 by counts: f(A) * f(A-hat) is 1 when M is
+    feasible for A (exactly one A-flow and one complement-flow) and 0
+    otherwise (one side has no flow).  A product, so a count of 2 fails."""
+    augment_matching(matching, p, q)  # rejects what is not a nested matching on [p+q]
+    return all(
+        gadget.pair_count(a_set) == is_feasible(matching, a_set)
+        for a_set in combinations(range(1, p + q + 1), p)
+    )
 
 
 @dataclass(frozen=True)
@@ -179,18 +186,10 @@ class InequalityReport:
     p1_p2_verified: bool
 
 
-def side_sums(lhs: Collection, rhs: Collection, matching: NestedMatching, carrier: Carrier):
-    """Both sides of the relation on the gadget of ``matching`` under unit
-    weights: the sums of f(A) * f(A-hat) over each collection, A-hat the
-    complement in [2p]."""
-    aug = augment_matching(matching, lhs.p, lhs.q)
-    gadget = build_gadget_network(aug.result)
-    f = FlowFunction(gadget.network, {v: 1 for v in gadget.network.vertices}, carrier)
-
-    def one_side(coll: Collection):
-        return _sum_side(f, [(member, aug.complement(member)) for member in coll.members])
-
-    return one_side(lhs), one_side(rhs), gadget
+def side_sums(lhs: Collection, rhs: Collection, gadget: GadgetNetwork) -> tuple[int, int]:
+    """Both sides of the relation on ``gadget`` under unit weights: the sums
+    of f(A) * f(A-hat) over each collection, A-hat the complement in [2p]."""
+    return sum(map(gadget.pair_count, lhs.members)), sum(map(gadget.pair_count, rhs.members))
 
 
 def evaluate_inequality(lhs: Collection, rhs: Collection) -> InequalityReport:
@@ -201,8 +200,8 @@ def evaluate_inequality(lhs: Collection, rhs: Collection) -> InequalityReport:
         raise MatchingError("pair is balanced; no counterexample exists")
     witness = result.witness
     aug = augment_matching(witness, lhs.p, lhs.q)
-    lhs_sum, rhs_sum, gadget = side_sums(lhs, rhs, witness, EXACT_INT)
-    ok = verify_P1_P2(gadget, witness, lhs.p, lhs.q)
+    gadget = build_gadget_network(aug.result)
+    lhs_sum, rhs_sum = side_sums(lhs, rhs, gadget)
     if lhs_sum == rhs_sum:
         raise GadgetError("witness gadget failed to separate the sides")
     return InequalityReport(
@@ -211,5 +210,5 @@ def evaluate_inequality(lhs: Collection, rhs: Collection) -> InequalityReport:
         gadget=gadget,
         lhs_sum=lhs_sum,
         rhs_sum=rhs_sum,
-        p1_p2_verified=ok,
+        p1_p2_verified=verify_P1_P2(gadget, witness, lhs.p, lhs.q),
     )

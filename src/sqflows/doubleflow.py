@@ -120,9 +120,6 @@ class Decomposition:
     def d(self) -> int:
         return len(self.circuits)
 
-    def essential_path_of(self, arc: tuple[int, int]):
-        return self.essential_paths[self.essential_arcs.index(tuple(arc))]
-
 
 def _walk(adjacency, start):
     """Follow multiplicity-one edges from start, never straight back, until

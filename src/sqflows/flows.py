@@ -4,10 +4,10 @@ f(I) and the path matrix come from a frontier sweep over the vertices in
 topological order (the transfer-matrix method): it sums weight products over
 labelled partial path systems without listing them, using only the carrier's
 addition and multiplication.  Enumeration lists the flows themselves, for the
-commands and modules that need every flow (``flows``, double flows, Laurent
-expansion, gadget checks); it is backtracking over sink-ordered path
-extension with reachability pruning, on its own stack, so neither path length
-nor path count is bounded by the recursion limit.  Both run on the network's
+commands and modules that output every flow (``flows``, double flows, Laurent
+expansion); it is backtracking over sink-ordered path extension with
+reachability pruning, on its own stack, so neither path length nor path count
+is bounded by the recursion limit.  Both run on the network's
 compiled form (``PlanarNetwork.form``) and share one terminal rule.  Planarity
 plus the boundary order of the terminals force the k-th smallest chosen
 source to feed the k-th chosen sink, so both engines use only that pairing.
@@ -42,9 +42,6 @@ class Flow:
         for path in self.paths:
             out.extend(zip(path, path[1:]))
         return tuple(out)
-
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(v for path in self.paths for v in path)
 
 
 def _form(net: PlanarNetwork) -> NetworkForm:

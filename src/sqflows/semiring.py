@@ -213,10 +213,6 @@ class Poly:
     def const(cls, c: int) -> "Poly":
         return cls({(): c} if c else {})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.const(other)
@@ -306,12 +302,17 @@ def parse_poly(text: str) -> Poly:
                 continue
             except ValueError:
                 pass
+            if part.startswith(("+", "-")) or any(c.isspace() for c in part):
+                raise SemiringError(f"malformed factor {part!r} in term {chunk!r}")
             name, caret, e = part.partition("^")
             if not name:
                 raise SemiringError(f"empty variable name in term {chunk!r}")
             if caret and not e:
                 raise SemiringError(f"empty exponent in term {chunk!r}")
-            exp = int(e) if e else 1
+            try:
+                exp = int(e) if e else 1
+            except ValueError:
+                raise SemiringError(f"exponent {e!r} is not an integer in term {chunk!r}") from None
             if exp < 1:
                 raise SemiringError(f"exponent below 1 in term {part!r}")
             exps[name] = exps.get(name, 0) + exp

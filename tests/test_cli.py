@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +339,9 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
         (["lindstrom", "--network", "{dir}/ab.net", "--carrier", "polyint", "--weights", "{dir}/w.txt"],
          {"ab.net": "vertex a\nvertex b\nedge a b\nsources a\nsinks b\n", "w.txt": MALFORMED_POLY},
          "empty variable name in term '\u00b7'"),
+        (["lindstrom", "--network", "{dir}/ab.net", "--carrier", "polyint", "--weights", "{dir}/w.txt"],
+         {"ab.net": "vertex a\nvertex b\nedge a b\nsources a\nsinks b\n", "w.txt": "a x\nb -x\n"},
+         "malformed factor '-x' in term '-x'"),
     ],
     ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
          "weight-line", "weights-missing", "no-flag-flow",
@@ -342,7 +349,7 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
          "halfgrid-zero", "self-loop",
          "check-balance-p-below-q", "counterexample-p-below-q", "verify-p-below-q",
          "check-balance-q-zero", "counterexample-q-zero", "verify-q-zero",
-         "polyint-malformed-term"],
+         "polyint-malformed-term", "polyint-signed-factor"],
 )
 def test_input_error_cases(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
@@ -350,3 +357,24 @@ def test_input_error_cases(argv, files, message, tmp_path, capsys):
     code, out, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
     assert (code, out) == (2, "")
     assert err.startswith("error: " + message)
+
+
+def test_closed_stdout_ends_cleanly():
+    # a reader that stops early, like `| head -c 50`, is a normal end: exit 0
+    # and nothing on stderr, neither a traceback nor a failed flush at exit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sqflows.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == b"1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3;7,1 6,1 6,2 5,"
+    assert err == b""

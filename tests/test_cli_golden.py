@@ -21,6 +21,8 @@ BALANCED = "2 1\n1 3\n--\n1 2\n2 3\n"
 UNBALANCED = "2 1\n1 2\n--\n1 3\n"
 INT_WEIGHTS = "".join(f"{i},{j} {i * 3 + j - 4}\n" for i in range(1, 5) for j in range(1, i + 1))
 POLY_WEIGHTS = "1,1 a\n2,1 b\n2,2 2·a·b\n3,1 c + 1\n3,2 a^2\n3,3 b + c\n"
+# A signed factor that is no integer: an input error, not a variable named "-b".
+SIGNED_WEIGHTS = "1,1 a\n2,1 -b\n2,2 a\n3,1 b\n3,2 a\n3,3 b\n"
 
 # Pair files made by `gen-family`, and a copy of each with the last
 # right-hand subset dropped, which is unbalanced.
@@ -64,6 +66,7 @@ CASES = [
     "lindstrom --network halfgrid:3 --carrier polyint",
     "lindstrom --network halfgrid:3 --carrier polyint --weights poly.w",
     "lindstrom --network halfgrid:3 --carrier polyint --weights poly.w --format json",
+    "lindstrom --network halfgrid:3 --carrier polyint --weights signed.w",
     # listings
     "flows --network halfgrid:5 -I 1,3,5",
     "flows --network halfgrid:5 -I 1,3,5 --format json",
@@ -115,6 +118,7 @@ EXPECTED = {
     'lindstrom --network halfgrid:3 --carrier polyint': (0, '1 1 1\n0 1 2\n0 0 1\n'),
     'lindstrom --network halfgrid:3 --carrier polyint --weights poly.w': (0, 'a a·b a·b + a·b·c\n0 2·a·b^2 2·a·b^2 + 2·a·b^2·c + 2·a^3·b + 2·a^3·b·c\n0 0 a^2·b + a^2·b·c + a^2·c + a^2·c^2\n'),
     'lindstrom --network halfgrid:3 --carrier polyint --weights poly.w --format json': (0, '{"command": "lindstrom", "data": {"matrix": [["a", "a\\u00b7b", "a\\u00b7b + a\\u00b7b\\u00b7c"], ["0", "2\\u00b7a\\u00b7b^2", "2\\u00b7a\\u00b7b^2 + 2\\u00b7a\\u00b7b^2\\u00b7c + 2\\u00b7a^3\\u00b7b + 2\\u00b7a^3\\u00b7b\\u00b7c"], ["0", "0", "a^2\\u00b7b + a^2\\u00b7b\\u00b7c + a^2\\u00b7c + a^2\\u00b7c^2"]]}, "ok": true, "schema": 1}\n'),
+    'lindstrom --network halfgrid:3 --carrier polyint --weights signed.w': (2, ''),
     'flows --network halfgrid:5 -I 1,3,5': (0, '1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3\n1,1;3,1 2,1 2,2;5,1 4,1 4,2 4,3 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 4,2 3,2 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 4,2 4,3 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 5,3 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 4,1 4,2 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 5,2 4,2 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 5,2 5,3 4,3 3,3\n'),
     'flows --network halfgrid:5 -I 1,3,5 --format json': (0, '{"command": "flows", "data": {"count": 8, "flows": ["1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3", "1,1;3,1 2,1 2,2;5,1 4,1 4,2 4,3 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 4,2 3,2 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 4,2 4,3 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 5,3 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 4,1 4,2 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 5,2 4,2 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 5,2 5,3 4,3 3,3"]}, "ok": true, "schema": 1}\n'),
     'flows --network halfgrid:5 -I 2,4 -J 1,3': (0, '2,1 1,1;4,1 3,1 3,2 3,3\n2,1 1,1;4,1 4,2 3,2 3,3\n2,1 1,1;4,1 4,2 4,3 3,3\n'),
@@ -151,7 +155,8 @@ def _run(argv):
 
 
 def _write_inputs(directory: Path) -> None:
-    files = {"pair.txt": BALANCED, "unbalanced.txt": UNBALANCED, "int.w": INT_WEIGHTS, "poly.w": POLY_WEIGHTS}
+    files = {"pair.txt": BALANCED, "unbalanced.txt": UNBALANCED, "int.w": INT_WEIGHTS, "poly.w": POLY_WEIGHTS,
+             "signed.w": SIGNED_WEIGHTS}
     for name, argv in GENERATED.items():
         out = _run(argv)[1]
         files[f"{name}.txt"] = out

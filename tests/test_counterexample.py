@@ -21,7 +21,6 @@ from sqflows.matchings import (
     is_feasible,
 )
 from sqflows.network import PlanarNetwork, validate
-from sqflows.semiring import EXACT_INT
 
 
 def test_augment_identity_when_p_equals_q():
@@ -129,6 +128,31 @@ def test_p1_p2_negative_control():
     assert not verify_P1_P2(GadgetNetwork(network=crippled, matching=m, p=2), m, 2, 2)
 
 
+def test_p1_p2_counts_above_one_fail():
+    # an extra edge s_2 -> v1 of (1, 4) runs beside the link u1 of (2, 3) ->
+    # v1 of (1, 4), so the feasible A = {1, 2} gets two A-flows while every A
+    # keeps flows on both sides exactly when it is feasible: only the product
+    # of the counts, not their truth values, tells this gadget apart
+    m = NestedMatching(((1, 4), (2, 3)), 4)
+    g = build_gadget_network(m)
+    doubled = PlanarNetwork(
+        vertices=g.network.vertices,
+        edges=g.network.edges + (("pi(2,3):v0", "pi(1,4):v1"),),
+        sources=g.network.sources,
+        sinks=g.network.sinks,
+    )
+    from sqflows.counterexample import GadgetNetwork
+
+    gadget = GadgetNetwork(network=doubled, matching=m, p=2)
+    for a in combinations(range(1, 5), 2):
+        hat = set(range(1, 5)) - set(a)
+        counts = len(enumerate_flag_flows(doubled, a)), len(enumerate_flag_flows(doubled, hat))
+        assert (min(counts) > 0) == is_feasible(m, a)
+    assert len(enumerate_flag_flows(doubled, (1, 2))) == 2
+    assert gadget.pair_count((1, 2)) == 2
+    assert not verify_P1_P2(gadget, m, 2, 2)
+
+
 def test_p1_p2_exhaustive_small():
     # every nested matching with p + q <= 8 yields a correct gadget
     for p in range(1, 8):
@@ -213,7 +237,8 @@ def test_side_sums_match_multiset_counts():
         c1 = collection(p, q, [rng.choice(pool) for _ in range(rng.randint(1, 3))])
         c2 = collection(p, q, [rng.choice(pool) for _ in range(rng.randint(1, 3))])
         for m in enumerate_nested_matchings(n, q):
-            lhs, rhs, _ = side_sums(c1, c2, m, EXACT_INT)
+            gadget = build_gadget_network(augment_matching(m, p, q).result)
+            lhs, rhs = side_sums(c1, c2, gadget)
             lcount = sum(1 for a in c1.members if is_feasible(m, a))
             rcount = sum(1 for a in c2.members if is_feasible(m, a))
             assert lhs == lcount and rhs == rcount

@@ -350,7 +350,7 @@ def test_exchange_with_adversarial_vertex_names():
     assert dec.matching.arcs == ((1, 2), (3, 4))
     assert set(dec.essential_arcs) == {(1, 2), (3, 4)}
     # the path recorded for (1, 2) must really end at sources 1 and 2
-    path_12 = dec.essential_path_of((1, 2))
+    path_12 = dec.essential_paths[dec.essential_arcs.index((1, 2))]
     verts = {v for e in path_12 for v in e}
     assert "s^1" in verts and "s^2" in verts
     for chosen, expected_i in ((((1, 2),), (2, 3)), (((3, 4),), (1, 4))):

@@ -37,8 +37,8 @@ def subsets(n):
 def test_interval_flow_examples():
     assert interval_flow(3, 1, 1).paths == (("1,1",),)
     flow = interval_flow(3, 2, 3)
-    assert flow.vertex_set() == {"1,1", "2,1", "3,1", "2,2", "3,2"}
-    assert interval_flow(5, 1, 5).vertex_set() == set(build_half_grid(5).vertices)
+    assert {v for path in flow.paths for v in path} == {"1,1", "2,1", "3,1", "2,2", "3,2"}
+    assert {v for path in interval_flow(5, 1, 5).paths for v in path} == set(build_half_grid(5).vertices)
 
 
 def test_interval_flow_is_the_unique_flag_flow():

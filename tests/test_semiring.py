@@ -43,7 +43,7 @@ def random_element(carrier, rng):
             for var in rng.sample("xyz", rng.randint(0, 2)):
                 mono = mono * Poly.variable(var, rng.randint(1, 2))
             poly = poly + mono
-        return poly if (carrier is POLY_INT or not poly.is_zero) else Poly.const(1)
+        return poly if (carrier is POLY_INT or poly.terms) else Poly.const(1)
     raise AssertionError(carrier)
 
 
@@ -224,6 +224,16 @@ def test_parse_poly_rejects_exponent_below_one():
         ("2·", "empty variable name in term '2·'"),
         ("^2", "empty variable name in term '^2'"),
         ("x^", "empty exponent in term 'x^'"),
+        # a signed factor that is no integer, a factor with whitespace inside
+        # and an exponent that is no integer are malformed too
+        ("-x", "malformed factor '-x' in term '-x'"),
+        ("+x", "malformed factor '+x' in term '+x'"),
+        ("a·-b^2", "malformed factor '-b^2' in term 'a·-b^2'"),
+        ("2 +", "malformed factor '2 +' in term '2 +'"),
+        ("x + 2 +", "malformed factor '2 +' in term '2 +'"),
+        ("3·x y", "malformed factor 'x y' in term '3·x y'"),
+        ("x^a", "exponent 'a' is not an integer in term 'x^a'"),
+        ("2·x^1.5", "exponent '1.5' is not an integer in term '2·x^1.5'"),
     ):
         with pytest.raises(SemiringError) as info:
             parse_poly(text)
