@@ -19,7 +19,6 @@ from .counterexample import (
 from .doubleflow import (
     Decomposition,
     DoubleFlow,
-    DoubleFlowContext,
     count_decompositions,
     decompose,
     exchange_flows,

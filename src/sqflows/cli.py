@@ -47,15 +47,13 @@ def _load_network(spec: str) -> nw.PlanarNetwork:
     return net
 
 
-def _load_pair(path: str) -> tuple[mt.Collection, mt.Collection]:
+def _load_pair(path: str) -> rel.QuadraticRelation:
     try:
         with open(path, encoding="utf-8") as handle:
             lhs, rhs = mt.parse_collection_pair(handle.read())
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from None
-    if lhs.p < lhs.q or lhs.q < 1:
-        raise CliError("relations need p >= q >= 1")
-    return lhs, rhs
+    return rel.QuadraticRelation(lhs.p, lhs.q, lhs, rhs)
 
 
 # The relations without parameters, by name: `verify family:<name>` and
@@ -71,8 +69,7 @@ def _load_relation(spec: str) -> rel.QuadraticRelation:
     prefix, _, name = spec.partition(":")
     if prefix == "family" and name in _FIXED_FAMILIES:
         return _FIXED_FAMILIES[name]()
-    lhs, rhs = _load_pair(spec)
-    return rel.QuadraticRelation(lhs.p, lhs.q, lhs, rhs)
+    return _load_pair(spec)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -99,8 +96,8 @@ def _arc_text(matching: mt.NestedMatching) -> str:
 
 
 def cmd_check_balance(args) -> int:
-    lhs, rhs = _load_pair(args.pair)
-    result = mt.is_balanced(lhs, rhs)
+    relation = _load_pair(args.pair)
+    result = mt.is_balanced(relation.lhs, relation.rhs)
     if result.balanced:
         _emit(args, "check-balance", True, ["balanced"], {"balanced": True})
         return 0
@@ -189,8 +186,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    lhs, rhs = _load_pair(args.pair)
-    report = cx.evaluate_inequality(lhs, rhs)
+    relation = _load_pair(args.pair)
+    report = cx.evaluate_inequality(relation.lhs, relation.rhs)
     net_text = nw.write_network(report.gadget.network)
     lines = [
         f"witness: {_arc_text(report.witness)}",
@@ -342,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; work runs serially")
 
     p = sub.add_parser("check-balance", help="decide balancedness of a collection pair")
     p.add_argument("pair", help="collection pair file")
@@ -362,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("symbolic", "numeric", "tropical"), default="symbolic")
     p.add_argument("--network", default=None, help="halfgrid:N or a network file")
     p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; work runs serially")
     common(p)
     p.set_defaults(func=cmd_verify)
 

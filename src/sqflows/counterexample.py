@@ -37,17 +37,12 @@ class GadgetError(ValueError):
 @dataclass(frozen=True)
 class AugmentedMatching:
     """M padded to a complete nested matching on [2p]: each free element i_l
-    gains the arc (i_l, 2p - l + 1); the complement of A is taken in [2p]."""
+    gains the arc (i_l, 2p - l + 1)."""
 
     original: NestedMatching
     result: NestedMatching
     p: int
     q: int
-
-    def complement(self, a_set: Iterable[int]) -> frozenset[int]:
-        full = set(range(1, self.p + self.q + 1))
-        extra = set(range(self.p + self.q + 1, 2 * self.p + 1))
-        return frozenset((full - set(a_set)) | extra)
 
 
 def augment_matching(matching: NestedMatching, p: int, q: int) -> AugmentedMatching:

@@ -5,9 +5,9 @@ Everything here works in the split network only: the alternation argument
 behind the decomposition needs every non-terminal vertex to carry exactly one
 split-edge.  So the multiplicity-one subgraph has maximum degree two, and
 each of its components, a circuit or a simple path, is walked once.  The
-pairing context (X, Y, A) is recovered from the two flows'
-source index sets: X is the shared part, Y the symmetric difference, and A
-marks the positions of the first flow inside Y.
+instance (X, Y) and the set A are recovered from the two flows' source index
+sets: X is the shared part, Y the symmetric difference, and A marks the
+positions of the first flow inside Y.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .flows import Flow, enumerate_flag_flows
-from .matchings import NestedMatching, is_feasible
+from .matchings import NestedMatching, exchange, is_feasible
 from .network import SPLIT, PlanarNetwork
+from .relations import Instantiation
 
 
 class DoubleFlowError(ValueError):
@@ -25,41 +26,14 @@ class DoubleFlowError(ValueError):
 
 
 @dataclass(frozen=True)
-class DoubleFlowContext:
-    """Index bookkeeping for a pair of flag flows: I(A) = X u gamma(A) and
-    J(A) = X u gamma(complement of A), gamma the order isomorphism onto Y."""
-
-    x_set: frozenset[int]
-    y_list: tuple[int, ...]
-    a_set: frozenset[int]
-
-    @property
-    def p(self) -> int:
-        return len(self.a_set)
-
-    @property
-    def q(self) -> int:
-        return len(self.y_list) - len(self.a_set)
-
-    def gamma(self, k: int) -> int:
-        return self.y_list[k - 1]
-
-    def gamma_inv(self, y: int) -> int:
-        return self.y_list.index(y) + 1
-
-    def index_sets(self, a_set: frozenset[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        comp = frozenset(range(1, len(self.y_list) + 1)) - a_set
-        I = tuple(sorted(self.x_set | {self.gamma(a) for a in a_set}))
-        J = tuple(sorted(self.x_set | {self.gamma(b) for b in comp}))
-        return I, J
-
-
-@dataclass(frozen=True)
 class DoubleFlow:
-    """Edge multiplicity function xi in {0,1,2}, stored sparsely and sorted."""
+    """Edge multiplicity function xi in {0,1,2}, stored sparsely and sorted,
+    with the instance (X, Y) and the set A whose I(A) and J(A) are the two
+    flows' source index sets."""
 
     multiplicities: tuple[tuple[tuple[str, str], int], ...]
-    context: DoubleFlowContext
+    instance: Instantiation
+    a_set: frozenset[int]
     network: PlanarNetwork = field(compare=False, repr=False)
 
     def as_dict(self) -> dict[tuple[str, str], int]:
@@ -67,19 +41,6 @@ class DoubleFlow:
 
     def level_edges(self, level: int) -> tuple[tuple[str, str], ...]:
         return tuple(e for e, m in self.multiplicities if m == level)
-
-
-def _derive_context(phi: Flow, phi_prime: Flow) -> DoubleFlowContext:
-    I = frozenset(phi.source_indices)
-    J = frozenset(phi_prime.source_indices)
-    X = I & J
-    Y = tuple(sorted(I ^ J))
-    p = len(I - X)
-    q = len(J - X)
-    if p < q:
-        raise DoubleFlowError("first flow must carry the larger side (p >= q)")
-    A = frozenset(k for k, y in enumerate(Y, start=1) if y in I)
-    return DoubleFlowContext(x_set=X, y_list=Y, a_set=A)
 
 
 def superpose(phi: Flow, phi_prime: Flow) -> DoubleFlow:
@@ -92,11 +53,16 @@ def superpose(phi: Flow, phi_prime: Flow) -> DoubleFlow:
     for f in (phi, phi_prime):
         if f.sink_indices != tuple(range(1, len(f.source_indices) + 1)):
             raise DoubleFlowError("double flows are built from flag flows")
-    ctx = _derive_context(phi, phi_prime)
+    I = frozenset(phi.source_indices)
+    J = frozenset(phi_prime.source_indices)
+    if len(I - J) < len(J - I):
+        raise DoubleFlowError("first flow must carry the larger side (p >= q)")
+    instance = Instantiation(n=len(net.sources), x_set=I & J, y_list=tuple(I ^ J))
     counts = Counter(phi.edges()) + Counter(phi_prime.edges())
     return DoubleFlow(
         multiplicities=tuple(sorted(counts.items())),
-        context=ctx,
+        instance=instance,
+        a_set=frozenset(k for k, y in enumerate(instance.y_list, start=1) if y in I),
         network=net,
     )
 
@@ -105,7 +71,7 @@ def superpose(phi: Flow, phi_prime: Flow) -> DoubleFlow:
 class Decomposition:
     """Connected components of the multiplicity-one subgraph: circuits plus
     simple paths whose ends sit among the gamma(A)/gamma(complement) sources
-    and the sinks strictly between |X|+q and |X|+p.
+    and the sinks in the window (|J(A)|, |I(A)|].
 
     ``essential_arcs`` is aligned with ``essential_paths``; the matching holds
     the same arcs in canonical sorted order."""
@@ -163,7 +129,6 @@ def decompose(df: DoubleFlow) -> Decomposition:
     of its smallest vertex: a circuit from that vertex, a path from its
     gamma(A) end.  A path without admissible endpoints is rejected."""
     net = df.network
-    ctx = df.context
     adjacency: dict[str, list[tuple[tuple[str, str], str]]] = {}
     for e in df.level_edges(1):
         adjacency.setdefault(e[0], []).append((e, e[1]))
@@ -175,9 +140,9 @@ def decompose(df: DoubleFlow) -> Decomposition:
 
     source_pos = {v: i + 1 for i, v in enumerate(net.sources)}
     sink_pos = {v: j + 1 for j, v in enumerate(net.sinks)}
-    ga = {ctx.gamma(a) for a in ctx.a_set}
-    comp_a = {ctx.gamma(b) for b in range(1, len(ctx.y_list) + 1) if b not in ctx.a_set}
-    lo, hi = len(ctx.x_set) + ctx.q, len(ctx.x_set) + ctx.p
+    I, J = df.instance.index_sets(df.a_set)
+    ga, comp_a = I - df.instance.x_set, J - df.instance.x_set
+    lo, hi = len(J), len(I)
 
     def end_kind(v):
         if source_pos.get(v) in ga:
@@ -216,12 +181,12 @@ def decompose(df: DoubleFlow) -> Decomposition:
         paths.append(ordered)
         if kinds == ["A", "B"]:
             essential.append(ordered)
-            arcs.append(tuple(sorted(ctx.gamma_inv(source_pos[end]) for end in ends)))
+            arcs.append(tuple(sorted(df.instance.y_list.index(source_pos[end]) + 1 for end in ends)))
 
-    matching = NestedMatching(tuple(arcs), len(ctx.y_list))
-    if len(paths) != ctx.p or len(essential) != ctx.q:
+    matching = NestedMatching(tuple(arcs), len(df.instance.y_list))
+    if len(paths) != len(ga) or len(essential) != len(comp_a):
         raise DoubleFlowError("component counts do not match (p, q)")
-    if not is_feasible(matching, ctx.a_set):
+    if not is_feasible(matching, df.a_set):
         raise DoubleFlowError("essential-path matching is not feasible for A")
     return Decomposition(
         circuits=tuple(circuits),
@@ -239,9 +204,7 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     subnetwork of xi's edges.  A listed I-flow psi is matched when xi - psi
     is a 0/1 edge set, which is then looked up among the J-flows' edge sets;
     no two J-flows share an edge set."""
-    ctx = df.context
-    A = ctx.a_set if a_set is None else frozenset(a_set)
-    I, J = ctx.index_sets(A)
+    I, J = df.instance.index_sets(df.a_set if a_set is None else a_set)
     net, xi = df.network, df.as_dict()
     sub = replace(
         net,
@@ -261,7 +224,7 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
 def exchange_flows(phi: Flow, phi_prime: Flow, chosen) -> tuple[Flow, Flow]:
     """Swap the two flows' alternating pieces along the essential paths of the
     selected arcs; the superposition is unchanged and the new pair realizes
-    A xor (union of the chosen arcs).
+    the exchanged set A' of :func:`matchings.exchange`.
 
     The new index sets I(A'), J(A') are known up front, so each new flow is
     walked through its exchanged edge set from the sources of its own index
@@ -269,15 +232,16 @@ def exchange_flows(phi: Flow, phi_prime: Flow, chosen) -> tuple[Flow, Flow]:
     vertex-disjoint, end at the first sinks in order and use every edge."""
     df = superpose(phi, phi_prime)
     dec = decompose(df)
-    ctx, net = df.context, df.network
+    net = df.network
     chosen = {tuple(arc) for arc in chosen}
     available = dict(zip(dec.essential_arcs, dec.essential_paths))
     if not chosen <= set(available):
         raise DoubleFlowError("chosen arcs are not essential arcs of this double flow")
     swap = {e for arc in chosen for e in available[arc]}
-    I, J = ctx.index_sets(ctx.a_set ^ {x for arc in chosen for x in arc})
+    I, J = df.instance.index_sets(exchange(df.a_set, dec.matching, chosen))
 
-    def walk(edges: frozenset[tuple[str, str]], indices: tuple[int, ...]) -> Flow:
+    def walk(edges: frozenset[tuple[str, str]], index_set: frozenset[int]) -> Flow:
+        indices = tuple(sorted(index_set))
         out = dict(edges)
         paths = []
         for i in indices:

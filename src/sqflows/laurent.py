@@ -138,7 +138,7 @@ def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     and cancelling exponents exactly."""
     if n > 12:
         raise LaurentError("expansion capped at n = 12")
-    A = frozenset(a_set)
+    A = tuple(a_set)
     if not A:
         raise LaurentError("A must be nonempty")
     net = build_half_grid(n)

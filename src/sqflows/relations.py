@@ -65,14 +65,23 @@ class Instantiation:
         object.__setattr__(self, "x_set", frozenset(self.x_set))
         object.__setattr__(self, "y_list", tuple(sorted(self.y_list)))
         y = set(self.y_list)
+        if len(y) != len(self.y_list):
+            raise RelationError("Y must not repeat elements")
         if self.x_set & y:
             raise RelationError("X and Y must be disjoint")
         universe = set(range(1, self.n + 1))
         if not (self.x_set <= universe and y <= universe):
             raise RelationError(f"X and Y must lie inside [{self.n}]")
 
-    def gamma(self, k: int) -> int:
-        return self.y_list[k - 1]
+    def index_sets(self, a_set: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
+        """I(A) = X u gamma(A) and J(A) = X u gamma([|Y|] - A), gamma the
+        order isomorphism from [|Y|] onto Y."""
+        A = frozenset(a_set)
+        if not A <= frozenset(range(1, len(self.y_list) + 1)):
+            raise RelationError(f"A must lie inside [{len(self.y_list)}]")
+        I = [y for k, y in enumerate(self.y_list, start=1) if k in A]
+        J = [y for k, y in enumerate(self.y_list, start=1) if k not in A]
+        return self.x_set.union(I), self.x_set.union(J)
 
 
 def default_instantiation(rel: QuadraticRelation, n: int | None = None) -> Instantiation:
@@ -85,18 +94,7 @@ def instantiate(rel: QuadraticRelation, inst: Instantiation):
     member order of each collection."""
     if len(inst.y_list) != rel.p + rel.q:
         raise RelationError("|Y| must equal p + q")
-
-    def pairs(side: Collection):
-        out = []
-        full = set(range(1, rel.p + rel.q + 1))
-        for member in side.members:
-            comp = full - set(member)
-            I = frozenset(inst.x_set | {inst.gamma(a) for a in member})
-            J = frozenset(inst.x_set | {inst.gamma(b) for b in comp})
-            out.append((I, J))
-        return tuple(out)
-
-    return pairs(rel.lhs), pairs(rel.rhs)
+    return tuple(map(inst.index_sets, rel.lhs.members)), tuple(map(inst.index_sets, rel.rhs.members))
 
 
 def _sum_side(f: FlowFunction, pairs):
@@ -230,7 +228,7 @@ def family_groebner(p: int, q: int, b_set: Iterable[int], d: int | None = None) 
         raise RelationError("family needs p >= q >= 1")
     b = tuple(sorted(b_set))
     n = p + q
-    if len(b) != p or not set(b) <= set(range(1, n + 1)):
+    if len(b) != p or len(set(b)) != p or not set(b) <= set(range(1, n + 1)):
         raise RelationError(f"B must be a {p}-subset of [{n}]")
     bbar = tuple(x for x in range(1, n + 1) if x not in set(b))
     if dominance_leq(b, bbar) or dominance_leq(bbar, b):
@@ -258,10 +256,10 @@ def grassmann_summands(
     exchanges; the right side the even-parity ones.  A subset of I of size |R|
     is even when the index sum of R inside J and the reversed index sum of the
     subset inside I share their parity."""
-    X = frozenset(x_set)
-    I = tuple(sorted(i_list))
-    J = tuple(sorted(j_list))
-    R = frozenset(r_set)
+    X, I, J, R = (tuple(sorted(s)) for s in (x_set, i_list, j_list, r_set))
+    if any(len(set(s)) != len(s) for s in (X, I, J, R)):
+        raise RelationError("X, I, J and R must not repeat elements")
+    X, R = frozenset(X), frozenset(R)
     if len(I) != p or len(J) != q:
         raise RelationError("need |I| = p and |J| = q")
     universe = set(range(1, n + 1))

@@ -121,6 +121,14 @@ def test_verify_jobs_output_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("option", ["--seed", "--jobs"])
+def test_seed_and_jobs_belong_to_verify(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flows", "--network", "halfgrid:3", "-I", "1", option, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_deterministic(capsys):
     argv = ["verify", "family:quintuple", "--mode", "tropical", "--trials", "5", "--seed", "9"]
     _, out1, _ = run(capsys, argv)
@@ -325,6 +333,8 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
          "one of the index sets admits no flag flow"),
         (["gen-family", "tail-fixed", "-p", "2", "-q", "3"], {}, "family needs p >= q >= 1"),
         (["gen-family", "groebner", "-p", "2", "-q", "1", "--B", "1,9"], {}, "B must be a 2-subset of [3]"),
+        (["gen-family", "groebner", "-p", "3", "-q", "2", "--B", "1,1,1"], {}, "B must be a 3-subset of [5]"),
+        (["laurent", "-n", "3", "-A", "1,1,3"], {}, "repeated source index"),
         (["gen-family", "groebner", "-p", "2", "-q", "1", "--B", "2,3", "--d", "2"], {},
          "d = 2 does not satisfy b_d > complement_d"),
         (["flows", "--network", "halfgrid:0", "-I", "1"], {}, "half-grid needs n >= 1"),
@@ -345,7 +355,8 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
     ],
     ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
          "weight-line", "weights-missing", "no-flag-flow",
-         "tail-fixed-p-below-q", "groebner-B-outside", "groebner-bad-d",
+         "tail-fixed-p-below-q", "groebner-B-outside", "groebner-B-repeated", "laurent-A-repeated",
+         "groebner-bad-d",
          "halfgrid-zero", "self-loop",
          "check-balance-p-below-q", "counterexample-p-below-q", "verify-p-below-q",
          "check-balance-q-zero", "counterexample-q-zero", "verify-q-zero",

@@ -21,6 +21,7 @@ from sqflows.network import (
     validate,
     vertex_split,
 )
+from sqflows.relations import Instantiation, RelationError
 
 
 def diamond_network():
@@ -272,18 +273,25 @@ def test_p_less_than_q_rejected():
         superpose(phi, phi_prime)
 
 
+def test_count_decompositions_rejects_a_outside_positions():
+    net = vertex_split(build_half_grid(3))
+    df = superpose(enumerate_flag_flows(net, {1, 3})[0], enumerate_flag_flows(net, {2})[0])
+    with pytest.raises(RelationError):
+        count_decompositions(df, {9})
+
+
 def test_decompose_rejects_branching_component():
     # hand-made xi whose multiplicity-one subgraph has a degree-3 vertex
-    from sqflows.doubleflow import DoubleFlow, DoubleFlowContext
+    from sqflows.doubleflow import DoubleFlow
 
     net = vertex_split(build_half_grid(3))
-    ctx = DoubleFlowContext(x_set=frozenset(), y_list=(1, 2), a_set=frozenset({1}))
+    inst = Instantiation(n=3, x_set=frozenset(), y_list=(1, 2))
     star_edges = (
         (("2,1'", "2,1''"), 1),
         (("2,1''", "1,1'"), 1),
         (("2,1''", "2,2'"), 1),
     )
-    df = DoubleFlow(multiplicities=star_edges, context=ctx, network=net)
+    df = DoubleFlow(multiplicities=star_edges, instance=inst, a_set=frozenset({1}), network=net)
     with pytest.raises(DoubleFlowError):
         decompose(df)
 
@@ -291,7 +299,7 @@ def test_decompose_rejects_branching_component():
 def test_decompose_rejects_wrong_context():
     # a valid superposition reinterpreted with the wrong A has misclassified
     # path endpoints
-    from sqflows.doubleflow import DoubleFlow, DoubleFlowContext
+    from sqflows.doubleflow import DoubleFlow
 
     net = vertex_split(build_half_grid(3))
     phi = enumerate_flag_flows(net, {1, 3})[0]
@@ -299,7 +307,8 @@ def test_decompose_rejects_wrong_context():
     df = superpose(phi, phi_prime)
     wrong = DoubleFlow(
         multiplicities=df.multiplicities,
-        context=DoubleFlowContext(x_set=frozenset({3}), y_list=(1, 2), a_set=frozenset({1})),
+        instance=Instantiation(n=3, x_set=frozenset({3}), y_list=(1, 2)),
+        a_set=frozenset({1}),
         network=net,
     )
     with pytest.raises(DoubleFlowError):
@@ -326,7 +335,7 @@ def test_decompose_alternation_audit():
         if not (mult == 2 and net.kind(edge) == "split" and edge[0] in switch_vertices)
     )
     assert pruned != df.multiplicities
-    broken = DoubleFlow(multiplicities=pruned, context=df.context, network=net)
+    broken = DoubleFlow(multiplicities=pruned, instance=df.instance, a_set=df.a_set, network=net)
     with pytest.raises(DoubleFlowError):
         decompose(broken)
 
@@ -437,7 +446,9 @@ def test_decompose_pinned_digest():
         if mults:
             k = rng.randrange(len(mults))
             mults[k] = (mults[k][0], 3 - mults[k][1])
-        broken = DoubleFlow(multiplicities=tuple(mults), context=df.context, network=df.network)
+        broken = DoubleFlow(
+            multiplicities=tuple(mults), instance=df.instance, a_set=df.a_set, network=df.network
+        )
         flipped.update(repr(decompose_outcome(broken)).encode())
         count += 1
     assert count == 2559

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqflows.counterexample import augment_matching, build_gadget_network
 from sqflows.flows import FlowFunction, enumerate_flag_flows
@@ -88,6 +90,50 @@ def test_instantiate_validation():
         Instantiation(n=4, x_set=frozenset({1}), y_list=(1, 2, 3))
     with pytest.raises(RelationError):
         Instantiation(n=2, x_set=frozenset(), y_list=(1, 2, 3))
+
+
+def test_instantiation_rejects_repeated_y():
+    with pytest.raises(RelationError, match="must not repeat elements"):
+        Instantiation(n=4, x_set=frozenset(), y_list=(1, 1, 2))
+
+
+@st.composite
+def instances(draw, size=None):
+    """(n, X, Y, A) with X and Y disjoint inside [n] and A inside [|Y|]; Y is
+    drawn unsorted and has ``size`` elements when given."""
+    n = draw(st.integers(0 if size is None else size, 8))
+    y_list = draw(st.lists(st.integers(1, max(n, 1)), unique=True, min_size=size or 0, max_size=size or n))
+    x_set = draw(st.sets(st.integers(1, max(n, 1)), max_size=n)) - set(y_list)
+    a_set = draw(st.sets(st.integers(1, max(len(y_list), 1)), max_size=len(y_list)))
+    return n, frozenset(x_set), tuple(y_list), frozenset(a_set)
+
+
+@given(instances())
+def test_index_sets_match_definition(case):
+    n, x_set, y_list, a_set = case
+    I, J = Instantiation(n=n, x_set=x_set, y_list=y_list).index_sets(a_set)
+    y = sorted(y_list)  # y_a is the a-th smallest element of Y
+    assert x_set <= I & J
+    assert I | J == x_set | set(y_list)
+    assert I - x_set == {y[a - 1] for a in a_set}
+    assert J - x_set == {y[b - 1] for b in range(1, len(y) + 1) if b not in a_set}
+
+
+@given(st.data())
+def test_instantiate_maps_members_through_index_sets(data):
+    relation = data.draw(st.sampled_from((family_triple(), family_quadruple(), family_quintuple())))
+    n, x_set, y_list, _ = data.draw(instances(size=relation.p + relation.q))
+    inst = Instantiation(n=n, x_set=x_set, y_list=y_list)
+    lhs, rhs = instantiate(relation, inst)
+    assert lhs == tuple(inst.index_sets(member) for member in relation.lhs.members)
+    assert rhs == tuple(inst.index_sets(member) for member in relation.rhs.members)
+
+
+def test_index_sets_rejects_a_outside_positions():
+    inst = Instantiation(n=4, x_set=frozenset({4}), y_list=(1, 2, 3))
+    for a_set in ({4}, {0}, {1, 9}):
+        with pytest.raises(RelationError):
+            inst.index_sets(a_set)
 
 
 def test_evaluate_sides_sp3_polynomial():
@@ -289,6 +335,16 @@ def test_grassmann_summands_validation():
         grassmann_summands(2, 1, 3, (1,), (1, 2), (3,), (3,))
     with pytest.raises(RelationError):
         grassmann_summands(2, 1, 3, (), (1, 2), (3,), (2,))
+
+
+@pytest.mark.parametrize(
+    "x_set, i_list, j_list, r_set",
+    [((), (1, 1), (3,), ()), ((4, 4), (1, 2), (3,), ()), ((), (1, 2), (3, 3), (3,)), ((), (1, 2), (3,), (3, 3))],
+    ids=["I", "X", "J", "R"],
+)
+def test_grassmann_summands_reject_repeated_elements(x_set, i_list, j_list, r_set):
+    with pytest.raises(RelationError, match="must not repeat elements"):
+        grassmann_summands(2, len(j_list), 4, x_set, i_list, j_list, r_set)
 
 
 def test_x_independence_small():
