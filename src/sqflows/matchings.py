@@ -5,7 +5,9 @@ An arc (i, j) with i < j covers the interval [i..j].  A matching M of q arcs
 is feasible for a p-subset A of [p+q] when the arcs are pairwise disjoint and
 each one has exactly one end in A, the arcs are nested, and no element outside
 the arcs is covered by one.  Two collections are balanced when every matching
-is feasible for equally many members (with multiplicity) of each.
+is feasible for equally many members (with multiplicity) of each; one scan
+over the nested matchings decides it, each partial matching carrying the
+bitset of member copies it is still feasible for.
 """
 
 from __future__ import annotations
@@ -79,48 +81,47 @@ def is_feasible(matching: NestedMatching, a_set: Iterable[int]) -> bool:
     return matching.is_nested() and matching.free_uncovered()
 
 
-def _scan(n: int, q: int, a_set: frozenset[int] | None):
-    """Left-to-right scan over [n] with an explicit stack of partial
-    matchings, so its depth is not bounded by the interpreter's recursion
-    limit.  At each element k a partial matching may close its innermost open
-    arc at k, open an arc at k, or leave k free; the children are pushed in
-    reverse, so they are taken in that order and the matchings come out in
-    one fixed order.  Arcs open and close stack-wise, so they are nested by
-    construction, and k may stay free only outside every open arc.
+def _scan(n: int, q: int, copies: tuple[Iterable[int], ...] | None) -> list[tuple[tuple[Arc, ...], int]]:
+    """The q-arc nested matchings on [n] with no covered free element, each
+    once and in one fixed order, as (arcs in closing order, alive), where bit
+    b of ``alive`` says the matching is feasible for ``copies[b]``; a matching
+    feasible for no copy is left out.  With ``copies`` None (uncoloured) all
+    come out, alive 1.
 
-    With a coloring A (|A| = n - q), closing checks that the arc has exactly
-    one end in A, and two exact facts prune the scan:
-
-    - each of the q arcs has one end in A and one outside it, so no element
-      outside A is free: k may stay free only when it is in A;
-    - an open arc needs a later element of the other color to close it, and
-      an arc not yet opened needs one element of each color.  Outside A this
-      count is met exactly, as none of those elements is free; in A it fails
-      exactly when more than n - 2q elements have been left free.  So k may
-      stay free only while fewer than n - 2q elements before it are free.
-
-    The second rule holds for every q-arc matching on [n], colored or not."""
-
-    results: list[NestedMatching] = []
+    One left-to-right pass over [n] on an explicit stack, so its depth is not
+    bounded by the recursion limit.  At k a partial matching may close its
+    innermost open arc at k, open one or leave k free, taken in that order;
+    arcs open and close stack-wise, so they nest.  k may stay free only
+    outside every open arc, and while fewer than n - 2q elements before it
+    are free, as each arc not yet closed still needs its ends.  With holds[k]
+    the copies that contain k, leaving k free keeps alive the copies in
+    holds[k], closing (i, k) those in holds[i] ^ holds[k], and opening all."""
+    holds = None if copies is None else [0] * (n + 1)  # holds[0]: every copy
+    for b, member in enumerate(copies or ()):
+        for k in (0, *member):
+            holds[k] |= 1 << b
+    leaves = []
     free_total = n - 2 * q
-    # A partial matching before element k: the openers of its open arcs (the
-    # innermost last) and its closed arcs.
-    todo = [(1, (), ())]
+    # before k: the openers of the open arcs (innermost last), arcs, alive
+    todo = [(1, (), (), 1 if holds is None else holds[0])]
     while todo:
-        k, opens, arcs = todo.pop()
+        k, opens, arcs, alive = todo.pop()
         if k > n:
-            if not opens and len(arcs) == q:
-                results.append(NestedMatching(arcs, n))
+            if not opens and len(arcs) == q and alive:
+                leaves.append((arcs, alive))
             continue
-        if not opens and k - 1 - 2 * len(arcs) < free_total and (a_set is None or k in a_set):
-            todo.append((k + 1, opens, arcs))
+        if not opens and k - 1 - 2 * len(arcs) < free_total:
+            kept = alive if holds is None else alive & holds[k]
+            if kept:
+                todo.append((k + 1, opens, arcs, kept))
         if len(arcs) + len(opens) < q:
-            todo.append((k + 1, opens + (k,), arcs))
+            todo.append((k + 1, opens + (k,), arcs, alive))
         if opens:
             i = opens[-1]
-            if a_set is None or (i in a_set) != (k in a_set):
-                todo.append((k + 1, opens[:-1], arcs + ((i, k),)))
-    return tuple(results)
+            kept = alive if holds is None else alive & (holds[i] ^ holds[k])
+            if kept:
+                todo.append((k + 1, opens[:-1], arcs + ((i, k),), kept))
+    return leaves
 
 
 def enumerate_feasible_matchings(a_set: Iterable[int], p: int, q: int) -> tuple[NestedMatching, ...]:
@@ -130,13 +131,13 @@ def enumerate_feasible_matchings(a_set: Iterable[int], p: int, q: int) -> tuple[
     n = p + q
     if len(A) != p or not A <= set(range(1, n + 1)):
         raise MatchingError(f"A must be a {p}-subset of [{n}]")
-    return _scan(n, q, A)
+    return tuple(NestedMatching(arcs, n) for arcs, _ in _scan(n, q, (A,)))
 
 
 def enumerate_nested_matchings(n: int, q: int) -> tuple[NestedMatching, ...]:
     """All q-arc matchings on [n] satisfying the nesting and covering
     conditions, regardless of any coloring."""
-    return _scan(n, q, None)
+    return tuple(NestedMatching(arcs, n) for arcs, _ in _scan(n, q, None))
 
 
 def exchange(a_set: Iterable[int], matching: NestedMatching, chosen: Iterable[Arc]) -> frozenset[int]:
@@ -178,13 +179,10 @@ def collection(p: int, q: int, members: Iterable[Iterable[int]]) -> Collection:
 
 def matching_multiset(coll: Collection) -> Counter:
     """Matchings counted with multiplicity |{A in the collection : M feasible
-    for A}|, members counted with their own multiplicity.  Each distinct
-    member is scanned once and adds its multiplicity."""
-    counts: Counter = Counter()
-    for member, times in Counter(coll.members).items():
-        for m in enumerate_feasible_matchings(member, coll.p, coll.q):
-            counts[m] += times
-    return counts
+    for A}|, repeated members included: the copies each one is alive for."""
+    n = coll.p + coll.q
+    return Counter({NestedMatching(arcs, n): alive.bit_count()
+                    for arcs, alive in _scan(n, coll.q, coll.members)})
 
 
 @dataclass(frozen=True)
@@ -196,17 +194,19 @@ class BalanceResult:
 
 
 def is_balanced(lhs: Collection, rhs: Collection) -> BalanceResult:
-    """Compare the two matching multisets; on failure report a witness
-    matching with differing multiplicities (the smallest in sorted order)."""
+    """One scan over the copies of both sides, lhs first, counting for each
+    matching the copies alive on each side; on failure the witness is the
+    smallest matching (by sorted arcs) whose counts differ."""
     if (lhs.p, lhs.q) != (rhs.p, rhs.q):
         raise MatchingError("collections have different (p, q)")
-    left = matching_multiset(lhs)
-    right = matching_multiset(rhs)
-    if left == right:
+    n, size = lhs.p + lhs.q, len(lhs.members)
+    counts = ((arcs, (alive & ((1 << size) - 1)).bit_count(), (alive >> size).bit_count())
+              for arcs, alive in _scan(n, lhs.q, lhs.members + rhs.members))
+    differing = [(tuple(sorted(arcs)), left, right) for arcs, left, right in counts if left != right]
+    if not differing:
         return BalanceResult(True, None, 0, 0)
-    differing = (m for m in left.keys() | right.keys() if left[m] != right[m])
-    witness = min(differing, key=lambda m: m.arcs)
-    return BalanceResult(False, witness, left[witness], right[witness])
+    arcs, left, right = min(differing)
+    return BalanceResult(False, NestedMatching(arcs, n), left, right)
 
 
 def parse_collection_pair(text: str) -> tuple[Collection, Collection]:

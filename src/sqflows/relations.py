@@ -180,7 +180,10 @@ def family_interval_exchange(p: int, q: int, pi0: Iterable[tuple[int, int]]) -> 
     if p < q or q < 1:
         raise RelationError("family needs p >= q >= 1")
     m0 = base_matching(p, q)
-    chosen = {tuple(a) for a in pi0}
+    pi0 = [tuple(a) for a in pi0]
+    chosen = set(pi0)
+    if len(chosen) < len(pi0):
+        raise RelationError("the exchanged arcs must be distinct")
     if not chosen:
         raise RelationError("the exchanged subset must be nonempty")
     if not chosen <= set(m0):
@@ -202,7 +205,10 @@ def family_tail_fixed(p: int, q: int, q_tail: Iterable[int]) -> QuadraticRelatio
     if p < q or q < 1:
         raise RelationError("family needs p >= q >= 1")
     tail_range = set(range(p + 2, p + q + 1))
+    q_tail = tuple(q_tail)
     q_set = frozenset(q_tail)
+    if len(q_set) < len(q_tail):
+        raise RelationError("Q must not repeat an element")
     if not q_set <= tail_range:
         raise RelationError(f"Q must lie inside [{p + 2}..{p + q}]")
     head_range = [x for x in range(1, p + q + 1) if x not in tail_range]

@@ -334,6 +334,9 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
         (["gen-family", "tail-fixed", "-p", "2", "-q", "3"], {}, "family needs p >= q >= 1"),
         (["gen-family", "groebner", "-p", "2", "-q", "1", "--B", "1,9"], {}, "B must be a 2-subset of [3]"),
         (["gen-family", "groebner", "-p", "3", "-q", "2", "--B", "1,1,1"], {}, "B must be a 3-subset of [5]"),
+        (["gen-family", "interval-exchange", "-p", "3", "-q", "2", "--pi0", "1,1"], {},
+         "the exchanged arcs must be distinct"),
+        (["gen-family", "tail-fixed", "-p", "3", "-q", "3", "--tail", "5,5"], {}, "Q must not repeat an element"),
         (["laurent", "-n", "3", "-A", "1,1,3"], {}, "repeated source index"),
         (["gen-family", "groebner", "-p", "2", "-q", "1", "--B", "2,3", "--d", "2"], {},
          "d = 2 does not satisfy b_d > complement_d"),
@@ -355,7 +358,8 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
     ],
     ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
          "weight-line", "weights-missing", "no-flag-flow",
-         "tail-fixed-p-below-q", "groebner-B-outside", "groebner-B-repeated", "laurent-A-repeated",
+         "tail-fixed-p-below-q", "groebner-B-outside", "groebner-B-repeated",
+         "interval-exchange-pi0-repeated", "tail-fixed-Q-repeated", "laurent-A-repeated",
          "groebner-bad-d",
          "halfgrid-zero", "self-loop",
          "check-balance-p-below-q", "counterexample-p-below-q", "verify-p-below-q",

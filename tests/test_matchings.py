@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -242,19 +243,114 @@ def test_balance_with_repeated_members_matches_brute_force(data):
     assert is_balanced(lhs, rhs) == _brute_balance(lhs, rhs)
 
 
-def test_each_distinct_member_is_scanned_once(monkeypatch):
-    scanned = []
-    scan = matchings.enumerate_feasible_matchings
+def _feasible_counts(coll):
+    """The matchings of each copy of a member, listed on its own by
+    enumerate_feasible_matchings."""
+    return Counter(m for a in coll.members for m in enumerate_feasible_matchings(a, coll.p, coll.q))
 
-    def counting(a_set, p, q):
-        scanned.append(tuple(a_set))
-        return scan(a_set, p, q)
 
-    monkeypatch.setattr(matchings, "enumerate_feasible_matchings", counting)
+def _counter_balance(lhs, rhs):
+    """is_balanced from one per-copy Counter per side."""
+    left, right = _feasible_counts(lhs), _feasible_counts(rhs)
+    differing = [m for m in left.keys() | right.keys() if left[m] != right[m]]
+    if not differing:
+        return BalanceResult(True, None, 0, 0)
+    witness = min(differing, key=lambda m: m.arcs)
+    return BalanceResult(False, witness, left[witness], right[witness])
+
+
+def test_balance_lists_no_matchings_and_builds_only_the_witness(monkeypatch):
     lhs = collection(3, 2, [(1, 3, 5), (1, 3, 5), (1, 2, 5)])
     rhs = collection(3, 2, [(2, 3, 4), (1, 2, 5), (1, 4, 5)] * 2 + [(1, 2, 5)])
-    assert is_balanced(lhs, rhs).balanced
-    assert scanned == sorted(set(lhs.members)) + sorted(set(rhs.members))
+    dropped = collection(3, 2, rhs.members[1:])
+    pairs = {(lhs, rhs): _brute_balance(lhs, rhs), (lhs, dropped): _brute_balance(lhs, dropped)}
+    built = []
+    post_init = NestedMatching.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    def refuse(*args):
+        raise AssertionError("is_balanced listed matchings")
+
+    monkeypatch.setattr(matchings, "enumerate_feasible_matchings", refuse)
+    monkeypatch.setattr(matchings, "enumerate_nested_matchings", refuse)
+    monkeypatch.setattr(matchings, "matching_multiset", refuse)
+    monkeypatch.setattr(NestedMatching, "__post_init__", counting)
+    for (left, right), expected in pairs.items():
+        built.clear()
+        assert is_balanced(left, right) == expected
+        assert built == ([] if expected.balanced else [expected.witness])
+    assert [r.balanced for r in pairs.values()] == [True, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_balance_over_many_machine_words_matches_brute_force(data):
+    # more than 64 copies on each side, so every bitset spans several words
+    p = data.draw(st.integers(1, 4))
+    q = data.draw(st.integers(1, p))
+    pool = list(combinations(range(1, p + q + 1), p))
+    shared = data.draw(st.lists(st.sampled_from(pool), min_size=65, max_size=80))
+    extra = st.lists(st.sampled_from(pool), max_size=4)
+    lhs = shared + data.draw(extra)
+    rhs = shared + (lhs[len(shared):] if data.draw(st.booleans()) else data.draw(extra))
+    family = family_tail_fixed(p, q, ())
+    lhs, rhs = collection(p, q, lhs + list(family.lhs.members)), collection(p, q, rhs + list(family.rhs.members))
+    assert is_balanced(lhs, rhs) == _brute_balance(lhs, rhs)
+    assert matching_multiset(lhs) == _feasible_counts(lhs)
+
+
+def test_member_repeated_on_one_side_only():
+    once, twice = collection(3, 2, [(1, 3, 5)]), collection(3, 2, [(1, 3, 5)] * 2)
+    result = is_balanced(twice, once)
+    assert result == BalanceResult(False, NestedMatching(((1, 2), (3, 4)), 5), 2, 1)
+    assert result == _brute_balance(twice, once) == _counter_balance(twice, once)
+    split = collection(3, 2, [(2, 3, 4), (1, 2, 5), (1, 4, 5)] * 2)
+    for lhs, rhs in ((twice, split), (collection(3, 2, [(1, 3, 5)] * 3), split)):
+        assert is_balanced(lhs, rhs) == _brute_balance(lhs, rhs) == _counter_balance(lhs, rhs)
+        assert is_balanced(rhs, lhs) == _brute_balance(rhs, lhs)
+    assert is_balanced(twice, split).balanced
+
+
+def test_witness_is_smallest_by_sorted_arcs():
+    # the scan closes (3,4) first in the witness and (2,3) first in another
+    # differing matching, so comparing arcs in closing order picks the wrong one
+    lhs, rhs = collection(4, 3, [(1, 2, 3, 7)]), collection(4, 3, [(1, 2, 4, 5)])
+    result = is_balanced(lhs, rhs)
+    assert result == BalanceResult(False, NestedMatching(((1, 6), (2, 5), (3, 4)), 7), 1, 0)
+    assert result == _brute_balance(lhs, rhs)
+
+
+@pytest.mark.parametrize("p, q", [(9, 8), (10, 9)])
+def test_balance_on_seeded_random_pairs(p, q):
+    rng = random.Random(f"pairs {p} {q}")
+    n = p + q
+
+    def draw(count):
+        return [tuple(rng.sample(range(1, n + 1), p)) for _ in range(count)]
+
+    shared, family = draw(40), family_tail_fixed(p, q, ())
+    lhs = shared + list(family.lhs.members)
+    rhs = shared + list(family.rhs.members)
+    pairs = [(lhs, rhs), (lhs[1:], rhs), (lhs + draw(5), rhs + draw(5)), (draw(30), draw(30))]
+    outcomes = []
+    for left, right in pairs:
+        left, right = collection(p, q, left), collection(p, q, right)
+        result = is_balanced(left, right)
+        assert result == _counter_balance(left, right)
+        outcomes.append(result.balanced)
+    assert outcomes == [True, False, False, False]
+
+
+def test_balance_depth_is_not_limited_by_recursion():
+    wide = collection(1200, 1, [range(1, 1201)])
+    shifted = collection(1200, 1, [range(2, 1202)])
+    assert is_balanced(wide, wide).balanced
+    result = is_balanced(wide, shifted)
+    assert result == BalanceResult(False, NestedMatching(((1, 2),), 1201), 0, 1)
+    assert result == _counter_balance(wide, shifted)
 
 
 def test_balanced_parameter_mismatch():
