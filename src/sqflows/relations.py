@@ -12,6 +12,7 @@ collections are balanced.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,7 @@ from .semiring import (
     TROPICAL_INT,
     TROPICAL_RATIONAL,
     Carrier,
+    PackedPoly,
     Poly,
     Starred,
 )
@@ -98,16 +100,19 @@ def instantiate(rel: QuadraticRelation, inst: Instantiation):
 
 
 def _sum_side(f: FlowFunction, pairs):
-    """Sum of f(I) * f(J) over the index-set pairs, as in :func:`evaluate_sides`."""
+    """Sum of f(I) * f(J) over the index-set pairs, as in :func:`evaluate_sides`.
+    The raw carrier operations suffice: every f-value comes from a sweep
+    whose weights were checked once, when it charged them."""
     carrier = f.carrier
+    mul, add = carrier._mul, carrier._add
     total = None
     for I, J in pairs:
         a = f(I)
         b = f(J)
         if a is None or b is None:
             continue
-        term = carrier.mul(a, b)
-        total = term if total is None else carrier.add(total, term)
+        term = mul(a, b)
+        total = term if total is None else add(total, term)
     return undefined_value(carrier) if total is None else total
 
 
@@ -130,12 +135,21 @@ def verify_stable(rel: QuadraticRelation) -> bool:
 
 
 def symbolic_check(rel: QuadraticRelation, net: PlanarNetwork, inst: Instantiation | None = None) -> bool:
-    """Evaluate both sides over polynomials with one variable per vertex (per
-    original vertex on a split network, whose weights sit on the split-edges);
-    equality here means equality for every weighting over every commutative
-    semiring on this network."""
-    weighting = {v: Poly.variable(v) for v in net.original_vertices() or net.vertices}
-    f = FlowFunction(net, weighting, Starred(POLY_NAT))
+    """Evaluate both sides over polynomials with natural coefficients and one
+    variable per vertex (per original vertex on a split network, whose
+    weights sit on the split-edges); equality here means equality for every
+    weighting over every commutative semiring on this network.
+
+    The polynomials are :class:`PackedPoly` values over the network's vertex
+    order.  A flow pays each weight at most once per position that charges
+    it, and each summand multiplies two f-values, so an exponent is at most
+    twice the most positions charging one weight: 2 on every network that
+    the builders and :func:`vertex_split` make, which gives two bits per
+    vertex.  Undefined values are STAR, as under ``Starred(POLY_NAT)``."""
+    charges = Counter(key for key in net.form.charge if key is not None) if net.form else Counter()
+    packed = PackedPoly(net.original_vertices() or net.vertices, 2 * max(charges.values(), default=1))
+    weighting = {v: packed.pack(Poly.variable(v)) for v in packed.names}
+    f = FlowFunction(net, weighting, Starred(packed))
     if inst is None:
         inst = default_instantiation(rel, n=len(net.sources))
     return sides_equal(evaluate_sides(f, rel, inst))

@@ -6,7 +6,9 @@ commutative semiring; the values themselves are ordinary Python objects:
 ones, :class:`Poly` for the polynomial carriers, and the ``STAR`` sentinel for
 the adapter that models undefined values.  Two classes cover the seven
 carriers: ``_Arithmetic`` (ordinary + and *) and ``_Tropical`` (max
-and +).  Everything is exact; no floating point appears anywhere.
+and +).  :class:`PackedPoly` is the symbolic check's own carrier, built per
+network, with dicts of packed monomials as values.  Everything is exact; no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -318,6 +320,97 @@ def parse_poly(text: str) -> Poly:
             exps[name] = exps.get(name, 0) + exp
         terms.append((tuple(sorted(exps.items())), coeff))
     return Poly(terms)
+
+
+class PackedPoly(Carrier):
+    """Polynomials with natural coefficients in a fixed list of variables,
+    with packed exponent vectors (Monagan and Pearce, CASC 2007): the
+    carrier of :func:`sqflows.relations.symbolic_check`, built per call from
+    the network's vertex order.
+
+    A value is a dict mapping a packed monomial to a positive ``int``
+    coefficient.  The monomial is an ``int`` holding the exponent of
+    variable k in the ``bits`` bits from bit ``bits * k`` on, ``bits`` being
+    the bit length of ``max_exponent``; variable k alone is
+    ``1 << (bits * k)``.  Multiplying two monomials is then one integer
+    addition, and equal dicts are equal polynomials, since natural
+    coefficients never cancel.
+
+    A symbolic check on a network that the builders or ``vertex_split`` make
+    needs ``max_exponent`` = 2, that is 2 bits per vertex, so vertex k is
+    ``1 << (2 * k)``.  f(I) is multilinear: a flow visits each
+    vertex at most once, and on a split network the weight of v sits on its
+    one split-edge v' -> v'', which a flow also crosses at most once.  Each
+    summand of a side multiplies exactly two f-values, so no exponent goes
+    above 2.  Products are not checked: one with an exponent of
+    ``2**bits`` or more would carry into the next variable's field.
+    :meth:`pack` rejects such exponents on input.
+    """
+
+    def __init__(self, names: Iterable[str], max_exponent: int):
+        self.names = tuple(dict.fromkeys(names))
+        self.bits = max_exponent.bit_length()
+        self._index = {v: k for k, v in enumerate(self.names)}
+        limit = 1 << (self.bits * len(self.names))
+        super().__init__(
+            f"packed({len(self.names)} variables, {self.bits} bits)",
+            lambda a: isinstance(a, dict)
+            and all(_is_int(m) and 0 <= m < limit and _is_int(c) and c > 0 for m, c in a.items()),
+            lambda text: self.pack(parse_poly(text)),
+            lambda a: render_poly(self.unpack(a)),
+            zero={},
+            one={0: 1},
+        )
+
+    def pack(self, p: Poly) -> dict:
+        """The packed value of a :class:`Poly` in these variables."""
+        out = {}
+        for mono, coeff in p.terms.items():
+            key = 0
+            for var, exp in mono:
+                if var not in self._index or exp >> self.bits:
+                    raise SemiringError(f"{var}^{exp} has no packed form in {self.name}")
+                key += exp << (self.bits * self._index[var])
+            out[key] = coeff
+        self.check(out)
+        return out
+
+    def unpack(self, a: dict) -> Poly:
+        """The :class:`Poly` a packed value stands for."""
+        field = (1 << self.bits) - 1
+        terms = []
+        for mono, coeff in a.items():
+            exps = []
+            k = 0
+            while mono:
+                if mono & field:
+                    exps.append((self.names[k], mono & field))
+                mono >>= self.bits
+                k += 1
+            terms.append((tuple(sorted(exps)), coeff))
+        return Poly(terms)
+
+    def _add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for mono, coeff in b.items():
+            out[mono] = out.get(mono, 0) + coeff
+        return out
+
+    def _mul(self, a, b):
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # distinct monomials stay distinct under one shift, so nothing merges
+            ((m2, c2),) = b.items()
+            return {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+        out = {}
+        for m2, c2 in b.items():
+            for m1, c1 in a.items():
+                mono = m1 + m2
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return out
 
 
 class Starred(Carrier):

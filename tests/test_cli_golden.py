@@ -53,6 +53,7 @@ CASES = [
     # verify in every mode, passing and failing
     "verify family:quadruple --mode symbolic --network halfgrid:5",
     "verify family:quadruple --mode symbolic --network halfgrid:5 --format json",
+    "verify family:quintuple --mode symbolic --network halfgrid:9",
     "verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3",
     "verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3 --format json",
     "verify family:triple --mode tropical --network halfgrid:5 --trials 6 --seed 1",
@@ -106,6 +107,7 @@ EXPECTED = {
     'doubleflow-audit --network halfgrid:4 -I 1,4 -J 2,4 --phi 0 --phi-prime 1': (0, 'd(xi) = 0\nM(xi) = (1,2)\nN(xi) = 1\n'),
     'verify family:quadruple --mode symbolic --network halfgrid:5': (0, 'symbolic check on halfgrid:5: pass\n'),
     'verify family:quadruple --mode symbolic --network halfgrid:5 --format json': (0, '{"command": "verify", "data": {"mode": "symbolic", "network": "halfgrid:5", "pass": true}, "ok": true, "schema": 1}\n'),
+    'verify family:quintuple --mode symbolic --network halfgrid:9': (0, 'symbolic check on halfgrid:9: pass\n'),
     'verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3': (0, 'numeric sweep on halfgrid:6: 12 instances pass\n'),
     'verify family:quintuple --mode numeric --network halfgrid:6 --trials 4 --seed 3 --format json': (0, '{"command": "verify", "data": {"checked": 12, "mode": "numeric", "network": "halfgrid:6"}, "ok": true, "schema": 1}\n'),
     'verify family:triple --mode tropical --network halfgrid:5 --trials 6 --seed 1': (0, 'tropical sweep on halfgrid:5: 12 instances pass\n'),

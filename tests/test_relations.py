@@ -2,13 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqflows.counterexample import augment_matching, build_gadget_network
 from sqflows.flows import FlowFunction, enumerate_flag_flows
-from sqflows.matchings import NestedMatching, collection
-from sqflows.network import build_half_grid, random_grid_network, vertex_split
+from sqflows.matchings import NestedMatching, collection, enumerate_nested_matchings
+from sqflows.network import ORDINARY, SPLIT, PlanarNetwork, build_half_grid, random_grid_network, vertex_split
 from sqflows.relations import (
     Instantiation,
     QuadraticRelation,
@@ -34,9 +34,12 @@ from sqflows.semiring import (
     CARRIERS,
     COUNTING_NAT,
     POLY_NAT,
+    STAR,
+    TROPICAL_INT,
+    PackedPoly,
     Poly,
     Starred,
-    TROPICAL_INT,
+    parse_poly,
 )
 
 LETTERS = {"1,1": "a", "2,1": "b", "3,1": "c", "2,2": "d", "3,2": "e", "3,3": "f"}
@@ -183,6 +186,99 @@ def test_symbolic_check_examples():
     bad = QuadraticRelation(2, 1, collection(2, 1, [(1, 2)]), collection(2, 1, [(1, 3)]))
     g = build_gadget_network(augment_matching(NestedMatching(((1, 2),), 3), 2, 1).result)
     assert not symbolic_check(bad, g.network)
+
+
+@st.composite
+def symbolic_cases(draw):
+    """A random relation (p + q <= 6, one to three members a side) on a
+    half-grid with n <= 8 or on the split gadget of a random nested matching,
+    with X and Y drawn from the sources."""
+    q = draw(st.integers(1, 3))
+    p = draw(st.integers(q, 6 - q))
+    pool = list(combinations(range(1, p + q + 1), p))
+    side = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    rel = QuadraticRelation(p, q, collection(p, q, draw(side)), collection(p, q, draw(side)))
+    if draw(st.booleans()):
+        net = build_half_grid(draw(st.integers(p + q, 8)))
+    else:
+        m = draw(st.sampled_from(enumerate_nested_matchings(p + q, q)))
+        net = vertex_split(build_gadget_network(augment_matching(m, p, q).result).network)
+    n = len(net.sources)
+    y = draw(st.lists(st.integers(1, n), min_size=p + q, max_size=p + q, unique=True))
+    rest = [i for i in range(1, n + 1) if i not in y]
+    x = draw(st.permutations(rest))[: draw(st.integers(0, len(rest)))]
+    return rel, net, Instantiation(n=n, x_set=frozenset(x), y_list=tuple(y))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(symbolic_cases())
+def test_packed_sides_equal_poly_sides(case):
+    # the full sides, unpacked through the vertex order, are the
+    # Starred(POLY_NAT) sides, STAR included; so the verdict is the same too
+    rel, net, inst = case
+    names = net.original_vertices() or net.vertices
+    packed = PackedPoly(names, 2)
+    f = FlowFunction(net, {v: packed.pack(Poly.variable(v)) for v in names}, Starred(packed))
+    g = FlowFunction(net, {v: Poly.variable(v) for v in names}, Starred(POLY_NAT))
+    reference = evaluate_sides(g, rel, inst)
+    sides = evaluate_sides(f, rel, inst)
+    assert [s if s is STAR else packed.unpack(s) for s in sides] == list(reference)
+    assert symbolic_check(rel, net, inst) == sides_equal(reference)
+    for s in reference:
+        if s is not STAR:
+            # the exponent bound of the packed form: a spectator source lies
+            # on both flows of every summand, so X nonempty reaches it
+            top = max(e for mono in s.terms for _, e in mono)
+            assert top == 2 if inst.x_set else top <= 2
+
+
+@pytest.mark.parametrize(
+    "rhs", [[(2, 3, 4), (1, 2, 5), (1, 4, 5)], [(2, 3, 4), (1, 2, 5)]], ids=["quintuple", "dropped"]
+)
+def test_symbolic_check_quintuple_halfgrid9(rhs):
+    # sides of about a thousand terms a factor; the relation holds, and fails
+    # once a right-hand member is dropped
+    rel = QuadraticRelation(3, 2, collection(3, 2, [(1, 3, 5)]), collection(3, 2, rhs))
+    inst = Instantiation(n=9, x_set=frozenset({1, 4, 8}), y_list=(2, 3, 5, 6, 7))
+    assert symbolic_check(rel, build_half_grid(9), inst) == (len(rhs) == 3)
+
+
+def test_symbolic_check_widens_fields_for_repeated_charges():
+    # a hand-built split network whose paths pay a's weight twice: the sides
+    # are a^4·e^2 and b·e^2, which two-bit fields would take for equal, since
+    # a^4 carries into b's field
+    split = [("x1", "x1''"), ("x2", "x2''"), ("z1", "z1''"), ("z2", "z2''"), ("y", "y''"), ("E", "E''")]
+    ordinary = [("s1", "E"), ("s2", "E"), ("z2''", "E"), ("E''", "t1"), ("s2", "x1"), ("x1''", "x2"),
+                ("x2''", "t2"), ("s3", "y"), ("y''", "t2"), ("s3", "z1"), ("z1''", "z2")]
+    edges = split + ordinary
+    net = PlanarNetwork(
+        vertices=tuple(dict.fromkeys(v for edge in edges for v in edge)),
+        edges=tuple(edges),
+        sources=("s1", "s2", "s3"),
+        sinks=("t1", "t2"),
+        edge_kinds=(SPLIT,) * len(split) + (ORDINARY,) * len(ordinary),
+        origins=tuple((v, origin) for edge, origin in zip(split, "aaaabe") for v in edge),
+        planarity="declared",
+    )
+    rel = QuadraticRelation(2, 1, collection(2, 1, [(1, 2)]), collection(2, 1, [(1, 3)]))
+    g = FlowFunction(net, {v: Poly.variable(v) for v in "abe"}, Starred(POLY_NAT))
+    sides = evaluate_sides(g, rel, default_instantiation(rel, 3))
+    assert sides == (parse_poly("a^4·e^2"), parse_poly("b·e^2"))
+    assert not symbolic_check(rel, net)
+
+
+def test_symbolic_check_runs_no_poly_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic in symbolic_check")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    bad = QuadraticRelation(3, 2, collection(3, 2, [(1, 3, 5)]), collection(3, 2, [(2, 3, 4), (1, 2, 5)]))
+    net = build_half_grid(6)
+    inst = Instantiation(n=6, x_set=frozenset({1}), y_list=(2, 3, 4, 5, 6))
+    assert symbolic_check(family_quintuple(), net, inst)
+    assert not symbolic_check(bad, net, inst)
+    assert symbolic_check(family_triple(), vertex_split(build_half_grid(4)))
 
 
 def test_symbolic_check_all_star_sides():

@@ -16,6 +16,7 @@ from sqflows.semiring import (
     TROPICAL_INT,
     TROPICAL_RATIONAL,
     CarrierMismatch,
+    PackedPoly,
     Poly,
     SemiringError,
     Starred,
@@ -287,3 +288,44 @@ def test_carrier_contract_operand_types():
         assert type(TROPICAL_RATIONAL.add(a, b)) is Fraction
     for value in (TROPICAL_INT.add(2, 3), TROPICAL_INT.mul(2, 3), TROPICAL_INT.div(2, 3)):
         assert type(value) is int
+
+
+VARIABLES = ("x", "y", "z", "w")
+multilinear = st.dictionaries(
+    st.sets(st.sampled_from(VARIABLES)).map(lambda vs: tuple((v, 1) for v in sorted(vs))),
+    st.integers(1, 5),
+    min_size=1,
+    max_size=6,
+).map(Poly)
+
+
+@given(multilinear, multilinear)
+def test_packed_poly_agrees_with_poly(a, b):
+    # a product of three multilinear polynomials has exponents up to 3,
+    # which still fit the two bits a packed variable has
+    packed = PackedPoly(VARIABLES, 2)
+    pa, pb = packed.pack(a), packed.pack(b)
+    assert packed.unpack(pa) == a
+    assert packed.unpack(packed.add(pa, pb)) == a + b
+    assert packed.unpack(packed.mul(pa, pb)) == a * b
+    assert packed.unpack(packed.mul(pa, packed.mul(pb, pb))) == a * b * b
+    assert packed.render(pa) == render_poly(a)
+    assert packed.parse(render_poly(a)) == pa
+
+
+def test_packed_poly_membership_and_bounds():
+    packed = PackedPoly(["x", "y", "x"], 2)
+    assert packed.names == ("x", "y") and packed.bits == 2
+    assert packed.pack(parse_poly("2·x^3·y + 1")) == {0b0111: 2, 0: 1}
+    assert packed.one == {0: 1} and packed.zero == {}
+    for bad in ({0: 0}, {0: -1}, {-1: 1}, {16: 1}, {True: 1}, {0: True}, {0: 1.0}, Poly.const(1), [(0, 1)]):
+        assert not packed.contains(bad), bad
+    with pytest.raises(CarrierMismatch):
+        packed.mul({0: 1}, {16: 1})
+    for text in ("x^4", "v", "-1"):
+        with pytest.raises(SemiringError):
+            packed.parse(text)
+    wide = PackedPoly(["x", "y"], 4)
+    assert wide.pack(parse_poly("x^4·y^7")) == {0b111100: 1}
+    with pytest.raises(SemiringError):
+        wide.parse("y^8")
