@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for success or a passing check (also when the reader closes
-stdout early), 1 for a failing check or a found violation, 2 for input errors.
+stdout early), 1 for a failing check or a found violation, 2 for input errors
+and for output that cannot be written.
 Identical argv and seed give byte-identical output; --format json wraps every
 report in {"schema": 1, "command", "ok", "data"}.
 """
@@ -285,6 +286,8 @@ def _load_weights(path: str, carrier):
                 vertex, _, value = line.partition(" ")
                 if not value:
                     raise CliError(f"bad weight line {line!r}")
+                if vertex in weighting:
+                    raise CliError(f"weights file repeats vertex {vertex!r}")
                 weighting[vertex] = carrier.parse(value.strip())
     except OSError as exc:
         raise CliError(f"cannot read weights {path!r}: {exc}") from None
@@ -421,11 +424,15 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout early (``| head``): a normal end.  Pointing
-        # stdout at devnull lets the flush at interpreter exit succeed.
+    except OSError as exc:
+        # Files the commands open raise CliError, so this is stdout failing: a
+        # normal end if the reader closed it early (``| head``), else an error
+        # (``> /dev/full``).  Devnull lets the flush at interpreter exit pass.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,7 +135,7 @@ def decompose(df: DoubleFlow) -> Decomposition:
         adjacency.setdefault(e[1], []).append((e, e[0]))
     if any(len(around) > 2 for around in adjacency.values()):
         raise DoubleFlowError("component is neither a circuit nor a simple path")
-    split_of = {v: e for e, kind in zip(net.edges, net.edge_kinds) if kind == SPLIT for v in e}
+    split_of = {v: e for e in net.edges if net.kind(e) == SPLIT for v in e}
     table = df.as_dict()
 
     source_pos = {v: i + 1 for i, v in enumerate(net.sources)}
@@ -206,11 +206,7 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     no two J-flows share an edge set."""
     I, J = df.instance.index_sets(df.a_set if a_set is None else a_set)
     net, xi = df.network, df.as_dict()
-    sub = replace(
-        net,
-        edges=tuple(e for e in net.edges if e in xi),
-        edge_kinds=tuple(kind for e, kind in zip(net.edges, net.edge_kinds) if e in xi),
-    )
+    sub = replace(net, edges=tuple(e for e in net.edges if e in xi))
     singles, doubles = frozenset(df.level_edges(1)), frozenset(df.level_edges(2))
     seconds = {frozenset(psi_prime.edges()) for psi_prime in enumerate_flag_flows(sub, J)}
     count = 0

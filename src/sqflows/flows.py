@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping
 
-from .network import SPLIT, NetworkForm, PlanarNetwork
+from .network import NetworkForm, PlanarNetwork
 from .semiring import STAR, Carrier, CarrierMismatch, SemiringError, Starred
 
 
@@ -48,6 +48,8 @@ def _form(net: PlanarNetwork) -> NetworkForm:
     form = net.form
     if form is None:
         raise FlowError("network contains a directed cycle")
+    if form.breaches:
+        raise FlowError("network breaks the charge rule: " + "; ".join(form.breaches))
     return form
 
 
@@ -145,22 +147,12 @@ def enumerate_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int]) -> t
 
 
 def flow_weight(net: PlanarNetwork, weighting: Mapping, flow: Flow, carrier: Carrier):
-    """Product of vertex weights along the flow.
-
-    On a split network the weight sits on the split-edges, keyed by the
-    original vertex; on an unsplit network it is the product over all path
-    vertices."""
-    values = []
-    if net.is_split:
-        for path in flow.paths:
-            for edge in zip(path, path[1:]):
-                if net.kind(edge) == SPLIT:
-                    values.append(_weight_of(weighting, net.origin_of(edge[0])))
-    else:
-        for path in flow.paths:
-            for v in path:
-                values.append(_weight_of(weighting, v))
-    return carrier.product(values)
+    """Product of vertex weights along the flow, each paid where the compiled
+    form charges it (on a split network, the original vertex's weight at the
+    tail of its split-edge)."""
+    form = _form(net)
+    keys = [form.charge[form.index[v]] for path in flow.paths for v in path]
+    return carrier.product([_weight_of(weighting, key) for key in keys if key is not None])
 
 
 def _weight_of(weighting: Mapping, v):
@@ -258,9 +250,9 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
     succ = net.form.succ
 
     # A value is None, the empty product, only until its first payment.  Two
-    # unpaid partial systems never meet: on an unsplit network a path pays at
-    # its source, and on a split one its only way on from the source is v',
-    # where it pays.
+    # unpaid partial systems never meet, and no system ends unpaid: by the
+    # charge rule that _form checks, a path pays at its source or at its
+    # first step.
     states = {tuple(starts): None}
     for p in range(min(starts), max(ends) + 1):
         w = paid[p]
@@ -324,7 +316,9 @@ class FlowFunction:
 
 def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
     """n x n matrix whose (j, i) entry is the path-weight sum from source i to
-    sink j; its minors equal the (I, J)-flow sums."""
+    sink j.  Its minors equal the (I, J)-flow sums only when the terminals sit
+    on the outer face in boundary order, which ``validate`` does not check: a
+    network whose only disjoint system crosses has a 2 x 2 minor of -1."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     n = len(net.sources)

@@ -32,28 +32,30 @@ class NetworkForm(NamedTuple):
     None: every vertex of an unsplit network pays its own weight; on a split
     network the weight of an original vertex v is paid at v', the tail of
     v's split-edge.  :func:`vertex_split` gives v' one out-edge and never
-    makes it a sink, so every path through v' crosses that split-edge."""
+    makes it a sink, so every path through v' crosses that split-edge.
+    ``breaches`` lists where the table breaks :func:`_charge_breaches`' rule."""
 
     index: dict[str, int]
     succ: tuple[tuple[int, ...], ...]  # successor positions, in out() order
     ancestors: tuple[int, ...]  # positions each position is reachable from, itself included
     charge: tuple
+    breaches: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class PlanarNetwork:
     """Acyclic digraph with ordered source and sink lists.
 
-    ``edge_kinds`` is nonempty exactly for networks produced by
-    :func:`vertex_split`; ``origins`` then maps each split vertex back to the
-    vertex it came from.  Coordinates are rendering metadata only.
+    ``origins`` is nonempty exactly for networks produced by
+    :func:`vertex_split`, and maps each split vertex back to the vertex it
+    came from; the kind of every edge follows from it (:meth:`kind`).
+    Coordinates are rendering metadata only.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
-    edge_kinds: tuple[str, ...] = ()
     origins: tuple[tuple[str, str], ...] = ()
     planarity: str = "constructed"
     coords: tuple[tuple[str, float, float], ...] = field(default=(), compare=False)
@@ -67,12 +69,11 @@ class PlanarNetwork:
                 inc[head].append(tail)
         object.__setattr__(self, "_out", {v: tuple(sorted(ns)) for v, ns in out.items()})
         object.__setattr__(self, "_in", {v: tuple(sorted(ns)) for v, ns in inc.items()})
-        object.__setattr__(self, "_kind", dict(zip(self.edges, self.edge_kinds)))
         object.__setattr__(self, "_origin", dict(self.origins))
 
     @property
     def is_split(self) -> bool:
-        return bool(self.edge_kinds)
+        return bool(self.origins)
 
     def out(self, v: str) -> tuple[str, ...]:
         return self._out.get(v, ())
@@ -81,7 +82,14 @@ class PlanarNetwork:
         return self._in.get(v, ())
 
     def kind(self, edge: tuple[str, str]) -> str:
-        return self._kind.get(edge, ORDINARY)
+        """SPLIT: both ends from one vertex; EXTRA: on a split network, an end
+        from none (a fresh terminal); ORDINARY otherwise."""
+        tail, head = map(self._origin.get, edge)
+        if tail is not None and tail == head:
+            return SPLIT
+        if self.is_split and (tail is None or head is None):
+            return EXTRA
+        return ORDINARY
 
     def origin_of(self, v: str) -> str | None:
         return self._origin.get(v)
@@ -119,19 +127,41 @@ class PlanarNetwork:
                 self.origin_of(v) if any(self.kind((v, u)) == SPLIT for u in self.out(v)) else None
                 for v in order
             )
+            breaches = _charge_breaches(self, index, succ, ancestors, charge)
         else:
-            charge = order
-        return NetworkForm(index, succ, tuple(ancestors), charge)
+            charge, breaches = order, ()
+        return NetworkForm(index, succ, tuple(ancestors), charge, breaches)
 
     def original_vertices(self) -> tuple[str, ...]:
         """Pre-split vertex ids, in their original order, for split networks."""
-        seen = []
-        met = set()
-        for _, orig in self.origins:
-            if orig not in met:
-                met.add(orig)
-                seen.append(orig)
-        return tuple(seen)
+        return tuple(dict.fromkeys(orig for _, orig in self.origins))
+
+
+def _charge_breaches(net: PlanarNetwork, index, succ, ancestors, charge) -> tuple[str, ...]:
+    """Breaches of the charge rule that the sweep and the symbolic check
+    assume of a split network's charge table: no weight key is charged at two
+    positions, a source that pays nothing is no sink, and every successor of
+    such a source that can reach a sink pays.  (Unsplit networks keep it.)"""
+    at = {}
+    for v, key in zip(net.order, charge):
+        at.setdefault(key, []).append(v)
+    at.pop(None, None)
+    breaches = [
+        f"weight {k} charged at {len(vs)} vertices: {', '.join(vs)}" for k, vs in at.items() if len(vs) > 1
+    ]
+    sinks = {index[t] for t in net.sinks if t in index}
+    for s in dict.fromkeys(net.sources):
+        p = index.get(s)
+        if p is None or charge[p] is not None:
+            continue
+        if p in sinks:
+            breaches.append(f"source {s} pays no weight and is a sink")
+        breaches += [
+            f"source {s} pays no weight and neither does its successor {net.order[u]}"
+            for u in succ[p]
+            if charge[u] is None and any(ancestors[t] >> u & 1 for t in sinks)
+        ]
+    return tuple(breaches)
 
 
 def build_half_grid(n: int) -> PlanarNetwork:
@@ -219,44 +249,22 @@ def vertex_split(net: PlanarNetwork) -> PlanarNetwork:
     second = {v: v + "''" for v in net.vertices}
     src_terms = tuple(f"s^{i}" for i in range(1, len(net.sources) + 1))
     snk_terms = tuple(f"t^{j}" for j in range(1, len(net.sinks) + 1))
-    fresh = list(prime.values()) + list(second.values()) + list(src_terms) + list(snk_terms)
-    clash = set(fresh) & set(net.vertices)
-    if len(set(fresh)) != len(fresh) or clash:
+    fresh = [*prime.values(), *second.values(), *src_terms, *snk_terms]
+    if len(set(fresh)) != len(fresh) or set(fresh) & set(net.vertices):
         raise NetworkError("vertex ids collide with split names")
 
-    vertices = list(src_terms)
-    for v in net.vertices:
-        vertices.append(prime[v])
-        vertices.append(second[v])
-    vertices.extend(snk_terms)
-
-    edges = []
-    kinds = []
-    for i, s in enumerate(net.sources):
-        edges.append((src_terms[i], prime[s]))
-        kinds.append(EXTRA)
-    for v in net.vertices:
-        edges.append((prime[v], second[v]))
-        kinds.append(SPLIT)
-    for u, v in net.edges:
-        edges.append((second[u], prime[v]))
-        kinds.append(ORDINARY)
-    for j, t in enumerate(net.sinks):
-        edges.append((second[t], snk_terms[j]))
-        kinds.append(EXTRA)
-
-    origins = []
-    for v in net.vertices:
-        origins.append((prime[v], v))
-        origins.append((second[v], v))
-
+    halves = [(name[v], v) for v in net.vertices for name in (prime, second)]
+    vertices = [*src_terms, *(half for half, _ in halves), *snk_terms]
+    edges = [(src_terms[i], prime[s]) for i, s in enumerate(net.sources)]
+    edges += [(prime[v], second[v]) for v in net.vertices]
+    edges += [(second[u], prime[v]) for u, v in net.edges]
+    edges += [(second[t], snk_terms[j]) for j, t in enumerate(net.sinks)]
     return PlanarNetwork(
         vertices=tuple(vertices),
         edges=tuple(edges),
         sources=src_terms,
         sinks=snk_terms,
-        edge_kinds=tuple(kinds),
-        origins=tuple(origins),
+        origins=tuple(halves),
         planarity=net.planarity,
     )
 
@@ -297,8 +305,7 @@ def validate(net: PlanarNetwork) -> list[str]:
         if (tail, head) in edge_seen:
             problems.append(f"duplicate edge ({tail}, {head})")
         edge_seen.add((tail, head))
-    if net.edge_kinds and len(net.edge_kinds) != len(net.edges):
-        problems.append("edge kind list does not match edge list")
+    problems.extend(net.form.breaches if net.form else ())
     placed = set(net.order)
     left = [v for v in dict.fromkeys(net.vertices) if v not in placed]
     if left:

@@ -12,7 +12,6 @@ collections are balanced.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -141,15 +140,12 @@ def symbolic_check(rel: QuadraticRelation, net: PlanarNetwork, inst: Instantiati
     weighting over every commutative semiring on this network.
 
     The polynomials are :class:`PackedPoly` values over the network's vertex
-    order.  A flow pays each weight at most once per position that charges
-    it, and each summand multiplies two f-values, so an exponent is at most
-    twice the most positions charging one weight: 2 on every network that
-    the builders and :func:`vertex_split` make, which gives two bits per
-    vertex.  Undefined values are STAR, as under ``Starred(POLY_NAT)``."""
-    charges = Counter(key for key in net.form.charge if key is not None) if net.form else Counter()
-    packed = PackedPoly(net.original_vertices() or net.vertices, 2 * max(charges.values(), default=1))
+    order.  An undefined f-value is the zero polynomial, which does the work
+    of STAR: a summand with an undefined factor adds nothing, an
+    all-undefined side is zero, and a defined product never is."""
+    packed = PackedPoly(net.original_vertices() or net.vertices)
     weighting = {v: packed.pack(Poly.variable(v)) for v in packed.names}
-    f = FlowFunction(net, weighting, Starred(packed))
+    f = FlowFunction(net, weighting, packed)
     if inst is None:
         inst = default_instantiation(rel, n=len(net.sources))
     return sides_equal(evaluate_sides(f, rel, inst))

@@ -330,30 +330,27 @@ class PackedPoly(Carrier):
 
     A value is a dict mapping a packed monomial to a positive ``int``
     coefficient.  The monomial is an ``int`` holding the exponent of
-    variable k in the ``bits`` bits from bit ``bits * k`` on, ``bits`` being
-    the bit length of ``max_exponent``; variable k alone is
-    ``1 << (bits * k)``.  Multiplying two monomials is then one integer
+    variable k in the two bits from bit ``2 * k`` on, so variable k alone
+    is ``1 << (2 * k)``.  Multiplying two monomials is then one integer
     addition, and equal dicts are equal polynomials, since natural
-    coefficients never cancel.
+    coefficients never cancel.  The zero polynomial ``{}`` is the value of
+    an empty flow sum.
 
-    A symbolic check on a network that the builders or ``vertex_split`` make
-    needs ``max_exponent`` = 2, that is 2 bits per vertex, so vertex k is
-    ``1 << (2 * k)``.  f(I) is multilinear: a flow visits each
-    vertex at most once, and on a split network the weight of v sits on its
-    one split-edge v' -> v'', which a flow also crosses at most once.  Each
-    summand of a side multiplies exactly two f-values, so no exponent goes
-    above 2.  Products are not checked: one with an exponent of
-    ``2**bits`` or more would carry into the next variable's field.
-    :meth:`pack` rejects such exponents on input.
+    Two bits hold every exponent of a symbolic check.  By the charge rule
+    that the compiled network form checks, one position charges each weight,
+    so f(I) is multilinear, and each summand of a side multiplies two
+    f-values.  Products are not checked: an exponent of 4 would carry into
+    the next variable's field.  :meth:`pack` rejects one on input.
     """
 
-    def __init__(self, names: Iterable[str], max_exponent: int):
+    bits = 2
+
+    def __init__(self, names: Iterable[str]):
         self.names = tuple(dict.fromkeys(names))
-        self.bits = max_exponent.bit_length()
         self._index = {v: k for k, v in enumerate(self.names)}
         limit = 1 << (self.bits * len(self.names))
         super().__init__(
-            f"packed({len(self.names)} variables, {self.bits} bits)",
+            f"packed({len(self.names)} variables)",
             lambda a: isinstance(a, dict)
             and all(_is_int(m) and 0 <= m < limit and _is_int(c) and c > 0 for m, c in a.items()),
             lambda text: self.pack(parse_poly(text)),

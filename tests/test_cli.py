@@ -328,6 +328,8 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
          "network has too few sources for this relation"),
         (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/w.txt"], {"w.txt": "1,1\n"},
          "bad weight line '1,1'"),
+        (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/w.txt"], {"w.txt": "1,1 1\n2,1 1\n1,1 5\n"},
+         "weights file repeats vertex '1,1'"),
         (["lindstrom", "--network", "halfgrid:2", "--weights", "{dir}/missing.txt"], {}, "cannot read weights"),
         (["doubleflow-audit", "--network", "{dir}/two.net", "-I", "2", "-J", "1"], {"two.net": PARALLEL_EDGES},
          "one of the index sets admits no flag flow"),
@@ -357,7 +359,7 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
          "malformed factor '-x' in term '-x'"),
     ],
     ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
-         "weight-line", "weights-missing", "no-flag-flow",
+         "weight-line", "weights-repeated", "weights-missing", "no-flag-flow",
          "tail-fixed-p-below-q", "groebner-B-outside", "groebner-B-repeated",
          "interval-exchange-pi0-repeated", "tail-fixed-Q-repeated", "laurent-A-repeated",
          "groebner-bad-d",
@@ -374,11 +376,15 @@ def test_input_error_cases(argv, files, message, tmp_path, capsys):
     assert err.startswith("error: " + message)
 
 
+def _cli_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_closed_stdout_ends_cleanly():
     # a reader that stops early, like `| head -c 50`, is a normal end: exit 0
     # and nothing on stderr, neither a traceback nor a failed flush at exit
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _cli_env()
     argv = ["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "sqflows.cli", *argv],
@@ -393,3 +399,25 @@ def test_closed_stdout_ends_cleanly():
     assert proc.wait(timeout=120) == 0
     assert head == b"1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3;7,1 6,1 6,2 5,"
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["--network", "halfgrid:3", "-I", "1"], ["--network", "halfgrid:12", "-I", "1,3,5,7,9,11"]],
+    ids=["final-flush", "while-printing"],
+)
+def test_unwritable_stdout_is_an_input_error(argv):
+    # a write that fails (no space left on the device) ends with exit 2 and
+    # one error line, whether it fails at the final flush or while printing
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqflows.cli", "flows", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.decode().splitlines()
+    assert line.startswith("error: cannot write output: ")

@@ -1,7 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 
+import sqflows.doubleflow as dfmod
 from sqflows.cli import main
-from sqflows.flows import enumerate_flag_flows
+from sqflows.counterexample import augment_matching, build_gadget_network
+from sqflows.flows import FlowError, FlowFunction, enumerate_flag_flows
+from sqflows.matchings import enumerate_nested_matchings
 from sqflows.network import (
     EXTRA,
     ORDINARY,
@@ -15,6 +21,8 @@ from sqflows.network import (
     vertex_split,
     write_network,
 )
+from sqflows.relations import family_triple, symbolic_check
+from sqflows.semiring import EXACT_INT
 
 
 def test_half_grid_n1():
@@ -76,8 +84,8 @@ def _problems(make):
     return validate(net)
 
 
-def _ab(edges=(("a", "b"),), sources=("a",), sinks=("b",), vertices=("a", "b"), edge_kinds=()):
-    return PlanarNetwork(vertices=vertices, edges=edges, sources=sources, sinks=sinks, edge_kinds=edge_kinds)
+def _ab(edges=(("a", "b"),), sources=("a",), sinks=("b",), vertices=("a", "b"), origins=()):
+    return PlanarNetwork(vertices=vertices, edges=edges, sources=sources, sinks=sinks, origins=origins)
 
 
 @pytest.mark.parametrize(
@@ -89,13 +97,29 @@ def _ab(edges=(("a", "b"),), sources=("a",), sinks=("b",), vertices=("a", "b"), 
         (lambda: _ab(edges=(("a", "b"), ("c", "b"))), ["dangling edge (c, b): unknown tail"]),
         (lambda: _ab(edges=(("a", "b"), ("b", "b"))), ["self-loop at b", "cycle: b -> b"]),
         (lambda: _ab(edges=(("a", "b"), ("a", "b"))), ["duplicate edge (a, b)"]),
-        (lambda: _ab(edge_kinds=(ORDINARY, SPLIT)), ["edge kind list does not match edge list"]),
+        (
+            lambda: _ab(edges=(("a", "b"), ("c", "d")), vertices="abcd", origins=tuple(zip("abcd", "xxxx"))),
+            ["weight x charged at 2 vertices: a, c"],
+        ),
+        (lambda: _ab(sinks=("a",), origins=(("b", "x"),)), ["source a pays no weight and is a sink"]),
+        (
+            lambda: _ab(edges=(("a", "b"), ("b", "c")), vertices="abc", sinks=("c",), origins=(("c", "x"),)),
+            ["source a pays no weight and neither does its successor b"],
+        ),
+        (
+            # b pays nothing either, but no path to a sink goes through it
+            lambda: _ab(edges=(("a", "b"), ("a", "c"), ("c", "d")), vertices="abcd", sinks=("d",),
+                        origins=(("c", "x"), ("d", "x"))),
+            [],
+        ),
         (lambda: parse_network("vertex a 1\nsources a\nsinks a\n"), ["line 1: vertex takes id or id x y"]),
         (lambda: parse_network("vertex a 1 y\nsources a\nsinks a\n"), ["line 1: bad coordinates"]),
         (lambda: build_half_grid(0), ["half-grid needs n >= 1"]),
     ],
     ids=["duplicate-vertex", "source-not-vertex", "sink-not-vertex", "unknown-tail", "self-loop",
-         "duplicate-edge", "edge-kinds-length", "vertex-arity", "bad-coordinates", "half-grid-zero"],
+         "duplicate-edge", "charged-twice", "unpaid-sink", "unpaid-successor", "unpaid-dead-end",
+         "vertex-arity",
+         "bad-coordinates", "half-grid-zero"],
 )
 def test_network_check_messages(make, problems):
     assert _problems(make) == problems
@@ -115,8 +139,8 @@ def test_validate_allows_end_coincidence():
 def test_vertex_split_counts_on_gamma3():
     split = vertex_split(build_half_grid(3))
     kinds = {}
-    for k in split.edge_kinds:
-        kinds[k] = kinds.get(k, 0) + 1
+    for e in split.edges:
+        kinds[split.kind(e)] = kinds.get(split.kind(e), 0) + 1
     assert kinds == {SPLIT: 6, ORDINARY: 6, EXTRA: 6}
     assert len(split.vertices) == 12 + 6
     assert validate(split) == []
@@ -136,8 +160,8 @@ def test_split_structure_invariant():
     split = vertex_split(build_half_grid(4))
     terminals = set(split.sources) | set(split.sinks)
     incident_split = {v: 0 for v in split.vertices}
-    for edge, kind in zip(split.edges, split.edge_kinds):
-        if kind == SPLIT:
+    for edge in split.edges:
+        if split.kind(edge) == SPLIT:
             tail, head = edge
             incident_split[tail] += 1
             incident_split[head] += 1
@@ -260,3 +284,83 @@ def test_cycle_witness_is_a_cycle(name, tmp_path, capsys):
     assert main(["flows", "--network", str(path), "-I", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid network: ") and lines[0] in err
+
+
+def _builder_networks():
+    """Every half-grid up to n = 6, a few random grids, and the gadget of
+    every augmented nested matching with p + q <= 5, with and without
+    ``connect``."""
+    nets = [build_half_grid(n) for n in range(1, 7)]
+    for n, rows, seed in ((2, 1, 0), (4, 2, 1), (5, 3, 2)):
+        nets.append(random_grid_network(n, rows, random.Random(seed)))
+    for p in range(1, 5):
+        for q in range(1, min(p, 5 - p) + 1):
+            for m in enumerate_nested_matchings(p + q, q):
+                m_hat = augment_matching(m, p, q).result
+                nets += [build_gadget_network(m_hat, connect).network for connect in (False, True)]
+    return nets
+
+
+def _split_kinds(net):
+    """The kinds :func:`vertex_split` gives the edges of its output: SPLIT on
+    (v', v''), EXTRA on the terminal edges, ORDINARY on the rest."""
+    kinds = {(f"s^{i}", s + "'"): EXTRA for i, s in enumerate(net.sources, start=1)}
+    kinds.update({(v + "'", v + "''"): SPLIT for v in net.vertices})
+    kinds.update({(u + "''", v + "'"): ORDINARY for u, v in net.edges})
+    kinds.update({(t + "''", f"t^{j}"): EXTRA for j, t in enumerate(net.sinks, start=1)})
+    return kinds
+
+
+def test_builders_splits_and_subnetworks_keep_the_charge_rule(monkeypatch):
+    subnetworks = []
+
+    def listing(net, I):
+        subnetworks.append(net)
+        return enumerate_flag_flows(net, I)
+
+    monkeypatch.setattr(dfmod, "enumerate_flag_flows", listing)
+    nets = _builder_networks()
+    assert len(nets) == 43
+    for net in nets:
+        split = vertex_split(net)
+        assert validate(net) == validate(split) == []
+        assert net.form.breaches == split.form.breaches == ()
+        assert {e: net.kind(e) for e in net.edges} == dict.fromkeys(net.edges, ORDINARY)
+        assert {e: split.kind(e) for e in split.edges} == _split_kinds(net)
+        if len(split.sources) > 4:
+            continue
+        # one double flow per pair of index sets, built by count_decompositions
+        # into the subnetwork of its edges
+        for I in map(frozenset, combinations(range(1, len(split.sources) + 1), 2)):
+            for J in map(frozenset, combinations(range(1, len(split.sources) + 1), 1)):
+                phis, phis_prime = enumerate_flag_flows(split, I), enumerate_flag_flows(split, J)
+                if phis and phis_prime:
+                    dfmod.count_decompositions(dfmod.superpose(phis[0], phis_prime[-1]))
+    assert len(subnetworks) == 306
+    for sub in subnetworks:
+        assert sub.form.breaches == ()
+
+
+def _unpaid_path_network():
+    """A hand-built split network whose flag flow for {1} is the bare edge
+    s1 -> t1, which crosses no split-edge and so pays nothing."""
+    edges = [("s1", "t1"), ("s2", "x'"), ("x'", "x''"), ("x''", "t2")]
+    edges += [("s3", "y'"), ("y'", "y''"), ("y''", "t2")]
+    return PlanarNetwork(
+        vertices=tuple(dict.fromkeys(v for edge in edges for v in edge)),
+        edges=tuple(edges),
+        sources=("s1", "s2", "s3"),
+        sinks=("t1", "t2"),
+        origins=(("x'", "x"), ("x''", "x"), ("y'", "y"), ("y''", "y")),
+        planarity="declared",
+    )
+
+
+def test_unpaid_path_is_rejected():
+    net = _unpaid_path_network()
+    assert validate(net) == ["source s1 pays no weight and neither does its successor t1"]
+    f = FlowFunction(net, {"x": 2, "y": 3}, EXACT_INT)
+    runs = (lambda: f({1}), lambda: enumerate_flag_flows(net, {1}), lambda: symbolic_check(family_triple(), net))
+    for run in runs:
+        with pytest.raises(FlowError, match="breaks the charge rule: source s1 pays no weight"):
+            run()

@@ -2,13 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqflows.counterexample import augment_matching, build_gadget_network
-from sqflows.flows import FlowFunction, enumerate_flag_flows
+from sqflows.flows import FlowError, FlowFunction, enumerate_flag_flows
 from sqflows.matchings import NestedMatching, collection, enumerate_nested_matchings
-from sqflows.network import ORDINARY, SPLIT, PlanarNetwork, build_half_grid, random_grid_network, vertex_split
+from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, validate, vertex_split
 from sqflows.relations import (
     Instantiation,
     QuadraticRelation,
@@ -39,7 +39,6 @@ from sqflows.semiring import (
     PackedPoly,
     Poly,
     Starred,
-    parse_poly,
 )
 
 LETTERS = {"1,1": "a", "2,1": "b", "3,1": "c", "2,2": "d", "3,2": "e", "3,3": "f"}
@@ -210,19 +209,31 @@ def symbolic_cases(draw):
     return rel, net, Instantiation(n=n, x_set=frozenset(x), y_list=tuple(y))
 
 
+# The gadget of a matching on [4] has four sources and two sinks: with X =
+# {4}, every I(A) has three elements, so every summand of both sides is
+# undefined.
+ALL_UNDEFINED = (
+    family_triple(),
+    vertex_split(build_gadget_network(augment_matching(NestedMatching(((2, 3),), 3), 2, 1).result).network),
+    Instantiation(n=4, x_set=frozenset({4}), y_list=(1, 2, 3)),
+)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(symbolic_cases())
+@example(ALL_UNDEFINED)
 def test_packed_sides_equal_poly_sides(case):
-    # the full sides, unpacked through the vertex order, are the
-    # Starred(POLY_NAT) sides, STAR included; so the verdict is the same too
+    # the full sides on the bare packed carrier, unpacked through the vertex
+    # order and with the zero polynomial read as STAR, are the
+    # Starred(POLY_NAT) sides; so the verdict is the same too
     rel, net, inst = case
     names = net.original_vertices() or net.vertices
-    packed = PackedPoly(names, 2)
-    f = FlowFunction(net, {v: packed.pack(Poly.variable(v)) for v in names}, Starred(packed))
+    packed = PackedPoly(names)
+    f = FlowFunction(net, {v: packed.pack(Poly.variable(v)) for v in names}, packed)
     g = FlowFunction(net, {v: Poly.variable(v) for v in names}, Starred(POLY_NAT))
     reference = evaluate_sides(g, rel, inst)
     sides = evaluate_sides(f, rel, inst)
-    assert [s if s is STAR else packed.unpack(s) for s in sides] == list(reference)
+    assert [STAR if s == {} else packed.unpack(s) for s in sides] == list(reference)
     assert symbolic_check(rel, net, inst) == sides_equal(reference)
     for s in reference:
         if s is not STAR:
@@ -243,10 +254,11 @@ def test_symbolic_check_quintuple_halfgrid9(rhs):
     assert symbolic_check(rel, build_half_grid(9), inst) == (len(rhs) == 3)
 
 
-def test_symbolic_check_widens_fields_for_repeated_charges():
-    # a hand-built split network whose paths pay a's weight twice: the sides
-    # are a^4·e^2 and b·e^2, which two-bit fields would take for equal, since
-    # a^4 carries into b's field
+def test_symbolic_check_rejects_repeated_charges():
+    # a hand-built split network whose paths pay a's weight more than once,
+    # so a side would have exponents outside the two-bit fields of the
+    # packed carrier: a is the origin of both ends of x1'' -> x2 and
+    # z1'' -> z2 too, so six vertices charge it
     split = [("x1", "x1''"), ("x2", "x2''"), ("z1", "z1''"), ("z2", "z2''"), ("y", "y''"), ("E", "E''")]
     ordinary = [("s1", "E"), ("s2", "E"), ("z2''", "E"), ("E''", "t1"), ("s2", "x1"), ("x1''", "x2"),
                 ("x2''", "t2"), ("s3", "y"), ("y''", "t2"), ("s3", "z1"), ("z1''", "z2")]
@@ -256,15 +268,17 @@ def test_symbolic_check_widens_fields_for_repeated_charges():
         edges=tuple(edges),
         sources=("s1", "s2", "s3"),
         sinks=("t1", "t2"),
-        edge_kinds=(SPLIT,) * len(split) + (ORDINARY,) * len(ordinary),
         origins=tuple((v, origin) for edge, origin in zip(split, "aaaabe") for v in edge),
         planarity="declared",
     )
+    (problem,) = validate(net)
+    assert problem.startswith("weight a charged at 6 vertices: ")
     rel = QuadraticRelation(2, 1, collection(2, 1, [(1, 2)]), collection(2, 1, [(1, 3)]))
     g = FlowFunction(net, {v: Poly.variable(v) for v in "abe"}, Starred(POLY_NAT))
-    sides = evaluate_sides(g, rel, default_instantiation(rel, 3))
-    assert sides == (parse_poly("a^4·e^2"), parse_poly("b·e^2"))
-    assert not symbolic_check(rel, net)
+    with pytest.raises(FlowError, match="weight a charged at 6 vertices"):
+        evaluate_sides(g, rel, default_instantiation(rel, 3))
+    with pytest.raises(FlowError, match="weight a charged at 6 vertices"):
+        symbolic_check(rel, net)
 
 
 def test_symbolic_check_runs_no_poly_arithmetic(monkeypatch):

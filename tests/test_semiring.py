@@ -303,7 +303,7 @@ multilinear = st.dictionaries(
 def test_packed_poly_agrees_with_poly(a, b):
     # a product of three multilinear polynomials has exponents up to 3,
     # which still fit the two bits a packed variable has
-    packed = PackedPoly(VARIABLES, 2)
+    packed = PackedPoly(VARIABLES)
     pa, pb = packed.pack(a), packed.pack(b)
     assert packed.unpack(pa) == a
     assert packed.unpack(packed.add(pa, pb)) == a + b
@@ -314,7 +314,7 @@ def test_packed_poly_agrees_with_poly(a, b):
 
 
 def test_packed_poly_membership_and_bounds():
-    packed = PackedPoly(["x", "y", "x"], 2)
+    packed = PackedPoly(["x", "y", "x"])
     assert packed.names == ("x", "y") and packed.bits == 2
     assert packed.pack(parse_poly("2·x^3·y + 1")) == {0b0111: 2, 0: 1}
     assert packed.one == {0: 1} and packed.zero == {}
@@ -325,7 +325,3 @@ def test_packed_poly_membership_and_bounds():
     for text in ("x^4", "v", "-1"):
         with pytest.raises(SemiringError):
             packed.parse(text)
-    wide = PackedPoly(["x", "y"], 4)
-    assert wide.pack(parse_poly("x^4·y^7")) == {0b111100: 1}
-    with pytest.raises(SemiringError):
-        wide.parse("y^8")
