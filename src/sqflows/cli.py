@@ -21,7 +21,7 @@ from . import laurent as laurmod
 from . import matchings as mt
 from . import network as nw
 from . import relations as rel
-from .flows import FlowFunction, enumerate_flag_flows, enumerate_flows, lindstrom_matrix
+from .flows import FlowFunction, enumerate_flag_flows, lindstrom_matrix, list_flows
 from .semiring import CARRIERS
 
 
@@ -249,12 +249,11 @@ def cmd_gen_family(args) -> int:
 
 def cmd_laurent(args) -> int:
     expression = laurmod.laurent_expand(args.n, _int_list(args.a_set))
-    text = expression.render()
     _emit(
         args,
         "laurent",
         True,
-        [text],
+        [expression.render()] if args.format == "text" else [],
         {"monomials": [[list(iv) + [deg] for iv, deg in mono] for mono in expression.monomials]},
     )
     return 0
@@ -279,7 +278,7 @@ def _load_weights(path: str, carrier):
     weighting = {}
     try:
         with open(path, encoding="utf-8") as handle:
-            for raw in handle:
+            for number, raw in enumerate(handle, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -288,7 +287,10 @@ def _load_weights(path: str, carrier):
                     raise CliError(f"bad weight line {line!r}")
                 if vertex in weighting:
                     raise CliError(f"weights file repeats vertex {vertex!r}")
-                weighting[vertex] = carrier.parse(value.strip())
+                try:
+                    weighting[vertex] = carrier.parse(value.strip())
+                except ValueError as exc:
+                    raise CliError(f"{exc} (vertex {vertex!r} on line {number} of {path!r})") from None
     except OSError as exc:
         raise CliError(f"cannot read weights {path!r}: {exc}") from None
     return weighting
@@ -297,12 +299,9 @@ def _load_weights(path: str, carrier):
 def cmd_flows(args) -> int:
     net = _load_network(args.network)
     I = _int_list(args.i_set)
-    if args.j_set is not None:
-        found = enumerate_flows(net, I, _int_list(args.j_set))
-    else:
-        found = enumerate_flag_flows(net, I)
-    lines = [";".join(" ".join(path) for path in flow.paths) for flow in found]
-    _emit(args, "flows", True, lines, {"count": len(found), "flows": lines})
+    J = None if args.j_set is None else _int_list(args.j_set)
+    lines = [";".join(paths) for paths in list_flows(net, I, J, " ".join)]
+    _emit(args, "flows", True, lines, {"count": len(lines), "flows": lines})
     return 0
 
 

@@ -5,10 +5,14 @@ topological order (the transfer-matrix method): it sums weight products over
 labelled partial path systems without listing them, using only the carrier's
 addition and multiplication.  Enumeration lists the flows themselves, for the
 commands and modules that output every flow (``flows``, double flows, Laurent
-expansion); it is backtracking over sink-ordered path extension with
-reachability pruning, on its own stack, so neither path length nor path count
-is bounded by the recursion limit.  Both run on the network's
-compiled form (``PlanarNetwork.form``) and share one terminal rule.  Planarity
+expansion).  It builds a DAG of path choices once per listing: node (k, key)
+holds the ways path k can continue a system whose first k paths took the
+positions ``key``, counted only where paths k, k+1, ... may still go, so a
+path is found and labelled once per distinct key instead of once per flow;
+then it walks the DAG in order.  Both phases keep their own stacks, so
+neither path length nor path count is bounded by the recursion limit.  Both
+engines run on the network's compiled form (``PlanarNetwork.form``) and
+share one terminal rule.  Planarity
 plus the boundary order of the terminals force the k-th smallest chosen
 source to feed the k-th chosen sink, so both engines use only that pairing.
 """
@@ -75,36 +79,101 @@ def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     return starts, ends, [ancestors[t] & ~(bits & ~(1 << t)) for t in ends]
 
 
-def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
+def _paths(succ, start: int, end: int, allowed: int, taken: int, keep: int) -> list:
+    """Every path start -> end through positions in ``allowed`` and not in
+    ``taken``, in ``succ`` order, each as (its last frame, the positions
+    taken after it, masked by ``keep``).  A frame is (position, the frame of
+    the previous position), so a step costs no copy of the path so far."""
+    found = []
+    stack = [((start, None), taken | 1 << start)]
+    while stack:
+        frame, taken = stack.pop()
+        p = frame[0]
+        if p == end:
+            found.append((frame, taken & keep))
+            continue
+        free = allowed & ~taken
+        for u in reversed(succ[p]):
+            if free >> u & 1:
+                stack.append(((u, frame), taken | 1 << u))
+    return found
+
+
+def _names(frame, order) -> tuple[str, ...]:
+    """The vertex names of the path that ends in ``frame``, first to last."""
+    names = []
+    while frame is not None:
+        p, frame = frame
+        names.append(order[p])
+    names.reverse()
+    return tuple(names)
+
+
+def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label):
     """All disjoint path systems pairing srcs[k] -> dsts[k], in lexicographic
-    order of the vertex sequences.  A stack frame holds the finished paths as
-    name tuples, the positions of the path being extended and the mask of
-    positions taken; children are pushed in reverse ``succ`` order, so they
-    pop in ``succ`` order."""
+    order of the vertex sequences, each as the tuple of ``label(names)`` over
+    its paths, ``names`` the vertex names of one path.
+
+    ``later[k]`` holds every position that paths k, k+1, ... may visit,
+    their sources included, so the ways to finish a system whose first k
+    paths took the positions ``taken`` depend only on k and
+    ``key = taken & later[k]``; no planarity is assumed.  A DAG with one node
+    per such (k, key) is built first, each node listing the paths k can take
+    from it that lead to a complete system, with their labels and the key
+    they lead to; then the DAG is walked in order.  So each path is found and
+    labelled once per distinct key, not once per flow (the frontier-based
+    search of ZDD path enumeration).  Both phases run on explicit stacks,
+    and the DAG lives only for the call."""
     plan = _plan(net, srcs, dsts)
     if plan is None:
         return
     starts, ends, allowed = plan
-    if not starts:
+    m = len(starts)
+    if not m:
         yield ()
         return
     order, succ = net.order, net.form.succ
-    stack = [((), (starts[0],), 1 << starts[0])]
+    later = [0] * (m + 1)
+    for k in reversed(range(m)):
+        later[k] = later[k + 1] | allowed[k] | 1 << starts[k]
+
+    # nodes[k][key]: the live choices of path k at (k, key), as (label, next
+    # key); a node with none is dead.  Level m is the finished system.
+    nodes = [{} for _ in range(m)] + [{0: True}]
+    found = {}  # (k, key) -> paths of a node expanded but not yet finished
+    stack = [(0, 0)]
     while stack:
-        done, path, taken = stack.pop()
-        k, p = len(done), path[-1]
-        if p == ends[k]:
-            done += (tuple(order[q] for q in path),)
-            if len(done) == len(starts):
-                yield done
-            else:
-                s = starts[k + 1]
-                stack.append((done, (s,), taken | 1 << s))
+        k, key = stack[-1]
+        if key in nodes[k]:
+            stack.pop()
             continue
-        free = allowed[k] & ~taken
-        for u in reversed(succ[p]):
-            if free >> u & 1:
-                stack.append((done, path + (u,), taken | 1 << u))
+        paths = found.get((k, key))
+        if paths is None:
+            paths = found[k, key] = _paths(succ, starts[k], ends[k], allowed[k], key, later[k + 1])
+            todo = [(k + 1, after) for _, after in paths if after not in nodes[k + 1]]
+            if todo:
+                stack.extend(todo)
+                continue
+        del found[k, key]
+        stack.pop()
+        nodes[k][key] = tuple(
+            (label(_names(frame, order)), after) for frame, after in paths if nodes[k + 1][after]
+        )
+
+    walk = [(iter(nodes[0][0]), ())]
+    while walk:
+        choices, done = walk[-1]
+        k = len(walk)
+        if k == m:
+            for last, _ in choices:
+                yield done + (last,)
+            walk.pop()
+            continue
+        choice = next(choices, None)
+        if choice is None:
+            walk.pop()
+        else:
+            walk.append((iter(nodes[k][choice[1]]), done + (choice[0],)))
 
 
 def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
@@ -117,32 +186,49 @@ def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
     return out
 
 
-def _listed(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...]) -> tuple[Flow, ...]:
-    """The (I, J)-flows for checked index tuples, listed afresh on each call."""
+def _listing(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label):
+    """Checked (I, J) and the iterator of their flows, as :func:`list_flows`
+    gives it; J None stands for the first |I| sinks, the flag flows, of
+    which there are none when I outnumbers the sinks."""
+    I = _check_indices("source", I, len(net.sources))
+    if J is None:
+        J = tuple(range(1, len(I) + 1))
+        if len(I) > len(net.sinks):
+            return I, J, iter(())
+    else:
+        J = _check_indices("sink", J, len(net.sinks))
+        if len(I) != len(J):
+            raise FlowError("index sets must have equal size")
     srcs = tuple(net.sources[i - 1] for i in I)
     dsts = tuple(net.sinks[j - 1] for j in J)
-    return tuple(
-        Flow(paths=paths, source_indices=I, sink_indices=J, network=net)
-        for paths in _systems(net, srcs, dsts)
-    )
+    return I, J, _systems(net, srcs, dsts, label)
+
+
+def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label):
+    """Iterator over the (I, J)-flows, or the flag flows for I when J is None,
+    in the order of :func:`enumerate_flows`; each flow is the tuple of
+    ``label(names)`` over its paths, ``names`` the tuple of a path's vertex
+    names.  ``label`` runs once per distinct path choice, not once per flow,
+    so it may be a costly map (a rendered line, a packed degree vector).
+    Index sets are checked at the call."""
+    return _listing(net, I, J, label)[2]
+
+
+def _listed(net: PlanarNetwork, I, J) -> tuple[Flow, ...]:
+    """The flows as :class:`Flow` objects, listed afresh on each call."""
+    I, J, systems = _listing(net, I, J, tuple)
+    return tuple(Flow(paths=paths, source_indices=I, sink_indices=J, network=net) for paths in systems)
 
 
 def enumerate_flag_flows(net: PlanarNetwork, I: Iterable[int]) -> tuple[Flow, ...]:
     """All flag flows for I: disjoint paths from the sources indexed by I to
     the first |I| sinks.  Empty tuple when none exist; the empty index set has
     exactly one (empty) flow."""
-    I = _check_indices("source", I, len(net.sources))
-    if len(I) > len(net.sinks):
-        return ()
-    return _listed(net, I, tuple(range(1, len(I) + 1)))
+    return _listed(net, I, None)
 
 
 def enumerate_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int]) -> tuple[Flow, ...]:
     """All (I, J)-flows: disjoint paths from sources S_I to sinks T_J."""
-    I = _check_indices("source", I, len(net.sources))
-    J = _check_indices("sink", J, len(net.sinks))
-    if len(I) != len(J):
-        raise FlowError("index sets must have equal size")
     return _listed(net, I, J)
 
 

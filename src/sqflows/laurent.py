@@ -9,11 +9,10 @@ monomial sum in the interval values with exponents in {-1, 0, 1, 2}.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .flows import Flow, enumerate_flag_flows
+from .flows import Flow, list_flows
 from .network import build_half_grid, half_grid_vertex
 from .semiring import Carrier, SemiringError
 
@@ -135,26 +134,35 @@ class LaurentExpression:
 def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     """Expand f(A) on the half-grid as a sum of interval Laurent monomials:
     one monomial per flag flow, obtained by substituting the weight quotients
-    and cancelling exponents exactly."""
+    and cancelling exponents exactly.
+
+    Degrees are packed into one int per monomial, one 8-bit field per
+    interval in sorted order, offset by 128.  An interval appears in the
+    weight quotients of at most four vertices, with degree +1 or -1 in each,
+    and a flow visits a vertex at most once, so every degree of a flow lies
+    in [-4, 4] and no field carries into the next: a flow's packed degree is
+    the sum of its vertices' packed quotients, and its monomial is read off
+    the bytes once."""
     if n > 12:
         raise LaurentError("expansion capped at n = 12")
     A = tuple(a_set)
     if not A:
         raise LaurentError("A must be nonempty")
-    net = build_half_grid(n)
-    degrees = {}  # vertex -> the interval degrees its weight quotient adds
+    fields = sorted(intervals(n))
+    shift = {iv: 8 * k for k, iv in enumerate(fields)}
+    packed = {}  # vertex -> the packed interval degrees of its weight quotient
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             num, den = _weight_ratio(i, j)
-            degrees[half_grid_vertex(i, j)] = [(iv, 1) for iv in num if iv] + [(iv, -1) for iv in den if iv]
+            packed[half_grid_vertex(i, j)] = sum(1 << shift[iv] for iv in num if iv) - sum(
+                1 << shift[iv] for iv in den if iv
+            )
+    size = len(fields)
+    offset = int.from_bytes(bytes([128]) * size, "little")
     monos = []
-    for flow in enumerate_flag_flows(net, A):
-        degree: Counter = Counter()
-        for path in flow.paths:
-            for name in path:
-                for interval, d in degrees[name]:
-                    degree[interval] += d
-        monos.append(tuple(sorted((iv, d) for iv, d in degree.items() if d)))
+    for degrees in list_flows(build_half_grid(n), A, None, lambda path: sum([packed[v] for v in path])):
+        raw = (offset + sum(degrees)).to_bytes(size, "little")
+        monos.append(tuple([(iv, b - 128) for iv, b in zip(fields, raw) if b != 128]))
     return LaurentExpression(monomials=tuple(sorted(monos)))
 
 

@@ -2,9 +2,11 @@
 
 These deliberately avoid the production algorithms: path systems come from a
 plain all-simple-paths DFS over every sink pairing, matchings from endpoint
-subsets times all pairings, determinants from cofactor expansion.
+subsets times all pairings, determinants from cofactor expansion, Laurent
+monomials from a Counter of interval degrees per flow.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from sqflows.matchings import NestedMatching, is_feasible
@@ -55,6 +57,34 @@ def naive_flag_flows(net, I):
         for system in naive_disjoint_systems(net, srcs, shuffled):
             out.append((perm, system))
     return out
+
+
+def _interval_degrees(i, j):
+    """The interval degrees of the half-grid weight w(i, j) = f(I_ij) f(I_i-1,j-1)
+    / (f(I_i-1,j) f(I_i,j-1)), w(i, i) = f(I_ii) / f(I_i,i-1), where I_ij is
+    [(i-j+1)..i] and I_i0 is the unit."""
+    num = [(i, j)] if i == j else [(i, j), (i - 1, j - 1)]
+    den = [(i, j - 1)] if i == j else [(i - 1, j), (i, j - 1)]
+    degrees = Counter()
+    for (a, b), d in [(iv, 1) for iv in num] + [(iv, -1) for iv in den]:
+        if b:
+            degrees[(a - b + 1, a)] += d
+    return degrees
+
+
+def naive_laurent(net, A):
+    """Sorted monomials of f(A) on the half-grid ``net``: one per
+    order-preserving disjoint system, its vertices' interval degrees summed."""
+    A = sorted(A)
+    srcs = [net.sources[i - 1] for i in A]
+    monos = []
+    for system in naive_disjoint_systems(net, srcs, net.sinks[: len(A)]):
+        total = Counter()
+        for path in system:
+            for name in path:
+                total.update(_interval_degrees(*map(int, name.split(","))))
+        monos.append(tuple(sorted((iv, d) for iv, d in total.items() if d)))
+    return sorted(monos)
 
 
 def naive_feasible_matchings(a_set, p, q):

@@ -23,6 +23,8 @@ INT_WEIGHTS = "".join(f"{i},{j} {i * 3 + j - 4}\n" for i in range(1, 5) for j in
 POLY_WEIGHTS = "1,1 a\n2,1 b\n2,2 2·a·b\n3,1 c + 1\n3,2 a^2\n3,3 b + c\n"
 # A signed factor that is no integer: an input error, not a variable named "-b".
 SIGNED_WEIGHTS = "1,1 a\n2,1 -b\n2,2 a\n3,1 b\n3,2 a\n3,3 b\n"
+# A value that is no integer, on the third line of the file.
+BAD_WEIGHTS = "1,1 1\n# the next value is no integer\n2,1 x\n"
 
 # Pair files made by `gen-family`, and a copy of each with the last
 # right-hand subset dropped, which is unbalanced.
@@ -78,6 +80,12 @@ CASES = [
     "doubleflow-audit --network halfgrid:6 -I 1,3,5 -J 2,4,6 --phi 3 --phi-prime 1 --format json",
     "laurent -n 5 -A 1,3,4",
     "laurent -n 5 -A 2,4 --format json",
+    # large listings: 32 768 flag flows, 18 522 (I,J)-flows, 2 520 monomials
+    "flows --network halfgrid:12 -I 1,3,5,7,9,11",
+    "flows --network halfgrid:12 -I 1,3,5,7,9,11 --format json",
+    "flows --network halfgrid:11 -I 1,2,4,8,10,11 -J 1,2,3,6,7,10",
+    "laurent -n 10 -A 1,3,5,7,10 --format json",
+    "lindstrom --network halfgrid:3 --weights bad.w",
     # generated pairs
     "check-balance quintuple.txt",
     "check-balance quintuple-dropped.txt --format json",
@@ -130,6 +138,11 @@ EXPECTED = {
     'doubleflow-audit --network halfgrid:6 -I 1,3,5 -J 2,4,6 --phi 3 --phi-prime 1 --format json': (0, '{"command": "doubleflow-audit", "data": {"count": 2, "d": 1, "matching": [[1, 2], [3, 4], [5, 6]]}, "ok": true, "schema": 1}\n'),
     'laurent -n 5 -A 1,3,4': (0, 'f[1..1]^1 f[2..2]^-1 f[2..4]^1\nf[1..2]^1 f[2..2]^-1 f[2..3]^-1 f[2..4]^1 f[3..3]^1\nf[1..3]^1 f[2..3]^-1 f[3..4]^1\n'),
     'laurent -n 5 -A 2,4 --format json': (0, '{"command": "laurent", "data": {"monomials": [[[2, 2, 1], [3, 3, -1], [3, 4, 1]], [[2, 3, 1], [3, 3, -1], [4, 4, 1]]]}, "ok": true, "schema": 1}\n'),
+    'flows --network halfgrid:12 -I 1,3,5,7,9,11': (0, 'sha256:e1b9515333ab27fb44600ca9c8a355c8cd9485290133305dfef6527fe0b27ce4'),
+    'flows --network halfgrid:12 -I 1,3,5,7,9,11 --format json': (0, 'sha256:bc981e342c6786ce3cae0a7f96fd71a02b8cdc139a929dbe7a661fca7f74d11c'),
+    'flows --network halfgrid:11 -I 1,2,4,8,10,11 -J 1,2,3,6,7,10': (0, 'sha256:0277987db0f7a0aa749a0cba4fe541eea25278b382a4bbb071a485c4c371b5ef'),
+    'laurent -n 10 -A 1,3,5,7,10 --format json': (0, 'sha256:94e3665dd5e55cd1316ab94d0cc42f78b79fa686f87542fa2344e55fe7dca56d'),
+    'lindstrom --network halfgrid:3 --weights bad.w': (2, ''),
     'check-balance quintuple.txt': (0, 'balanced\n'),
     'check-balance quintuple-dropped.txt --format json': (1, '{"command": "check-balance", "data": {"balanced": false, "lhs_count": 1, "rhs_count": 0, "witness": [[1, 2], [4, 5]]}, "ok": false, "schema": 1}\n'),
     'check-balance interval.txt': (0, 'balanced\n'),
@@ -158,7 +171,7 @@ def _run(argv):
 
 def _write_inputs(directory: Path) -> None:
     files = {"pair.txt": BALANCED, "unbalanced.txt": UNBALANCED, "int.w": INT_WEIGHTS, "poly.w": POLY_WEIGHTS,
-             "signed.w": SIGNED_WEIGHTS}
+             "signed.w": SIGNED_WEIGHTS, "bad.w": BAD_WEIGHTS}
     for name, argv in GENERATED.items():
         out = _run(argv)[1]
         files[f"{name}.txt"] = out
@@ -183,6 +196,16 @@ def test_cli_stdout_unchanged(command, tmp_path, monkeypatch):
     _write_inputs(tmp_path)
     code, out = _run(command.split())
     assert (code, _digest(out)) == EXPECTED[command]
+
+
+def test_bad_weight_names_its_vertex_line_and_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run("lindstrom --network halfgrid:3 --weights bad.w".split())
+    message = "error: invalid literal for int() with base 10: 'x' (vertex '2,1' on line 3 of 'bad.w')\n"
+    assert (code, out, err.getvalue()) == (2, "", message)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from sqflows.flows import (
     enumerate_flows,
     evaluate_fgf,
     lindstrom_matrix,
+    list_flows,
     minor,
 )
 from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, vertex_split
@@ -284,6 +285,35 @@ def test_long_path_is_listed():
     names = tuple(f"v{i}" for i in range(1500))
     chain = PlanarNetwork(names, tuple(zip(names, names[1:])), names[:1], names[-1:])
     assert [flow.paths for flow in enumerate_flag_flows(chain, {1})] == [(names,)]
+
+
+def test_list_flows_labels_each_path_choice_once():
+    # labels agree with the listed Flow objects, and a path shared by many
+    # flows is labelled once per distinct set of positions it leaves taken
+    rng = random.Random(16)
+    for net in [build_half_grid(8)] + [random_grid_network(5, 4, rng) for _ in range(6)]:
+        n = len(net.sources)
+        for I in [(1, 3, 5, 7)[: (n + 1) // 2], tuple(range(1, n + 1, 3))]:
+            flows = enumerate_flag_flows(net, I)
+            assert list(list_flows(net, I, None, " ".join)) == [
+                tuple(" ".join(path) for path in flow.paths) for flow in flows
+            ]
+            J = tuple(range(2, len(I) + 2)) if len(I) < len(net.sinks) else tuple(range(1, len(I) + 1))
+            assert list(list_flows(net, I, J, tuple)) == [flow.paths for flow in enumerate_flows(net, I, J)]
+    g = build_half_grid(8)
+    calls = []
+    flows = list(list_flows(g, (1, 3, 5, 7), None, calls.append))
+    # 64 flows of four paths each, from fewer path choices than flows
+    assert len(flows) == 64 and len(calls) < len(flows)
+
+
+def test_chain_of_24000_vertices_lists_its_flow():
+    # a step of the path search copies nothing of the path so far: the path
+    # is rebuilt from its frames once, at its sink
+    names = tuple(f"v{i}" for i in range(24000))
+    chain = PlanarNetwork(names, tuple(zip(names, names[1:])), names[:1], names[-1:])
+    assert [flow.paths for flow in enumerate_flag_flows(chain, {1})] == [(names,)]
+    assert list(list_flows(chain, {1}, {1}, len)) == [(24000,)]
 
 
 def test_many_paths_are_listed():

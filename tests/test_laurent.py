@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from _brute import naive_laurent
 
 from sqflows.flows import enumerate_flag_flows, evaluate_fgf
 from sqflows.laurent import (
@@ -151,6 +152,17 @@ def test_expand_degree_bounds():
         for a in subsets(n):
             expr = laurent_expand(n, a)
             assert expr.degrees() <= {-1, 0, 1, 2}, (n, a)
+
+
+def test_expand_matches_counter_oracle():
+    # the packed degree fields decode to the monomials a plain Counter per
+    # flow gives, in the same order, and never leave the field bound [-4, 4]
+    for n in range(1, 8):
+        g = build_half_grid(n)
+        for a in subsets(n):
+            expr = laurent_expand(n, a)
+            assert list(expr.monomials) == naive_laurent(g, a), (n, a)
+            assert expr.degrees() <= set(range(-4, 5)), (n, a)
 
 
 def test_expand_evaluates_to_fgf():
