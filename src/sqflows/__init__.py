@@ -30,6 +30,7 @@ from .flows import (
     enumerate_flag_flows,
     enumerate_flows,
     evaluate_fgf,
+    flag_table,
     flow_weight,
     lindstrom_matrix,
     minor,

@@ -7,7 +7,10 @@ hook their u-vertices into the enclosing arc's interior v-vertices left to
 right, and the sinks are the u-vertices of the maximal arcs.  The gadget has a
 unique A-flow and a unique complement-flow exactly when M is feasible for A,
 and no such pair otherwise; with unit integer weights the two sides of the
-relation then count members, which differ on a witness.
+relation then count members, which differ on a witness.  Both side sums and
+the P1/P2 check read f(A) * f(A-hat) off one table of the unit-weight f over
+every p-subset of the 2p sources (:func:`sqflows.flows.flag_table`), built
+once per gadget.
 """
 
 from __future__ import annotations
@@ -15,16 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
-from .flows import FlowFunction
+from .flows import flag_table
 from .matchings import (
     Collection,
     MatchingError,
     NestedMatching,
     is_balanced,
-    is_feasible,
 )
 from .network import PlanarNetwork
 from .semiring import EXACT_INT
@@ -65,18 +66,21 @@ class GadgetNetwork:
     p: int
 
     @cached_property
-    def flow_count(self) -> FlowFunction:
-        """Unit-weight f(I), the number of flag flows for I, memoized for the
-        life of the gadget."""
-        return FlowFunction(self.network, dict.fromkeys(self.network.vertices, 1), EXACT_INT)
+    def table(self) -> dict[int, int]:
+        """Unit-weight f(A), the number of flag flows for A, for every
+        p-subset A of the 2p sources that has one, keyed by the bitmask of A
+        (bit i - 1 for i); built in one pass for the life of the gadget."""
+        net = self.network
+        return flag_table(net, dict.fromkeys(net.vertices, 1), EXACT_INT, self.p)
 
     def pair_count(self, a_set: Iterable[int]) -> int:
-        """f(A) * f(A-hat) under unit weights, A-hat the complement of A in
-        [2p]; A-hat is not counted when A has no flow."""
-        count = self.flow_count(a_set)
-        if count:
-            count *= self.flow_count(set(range(1, 2 * self.p + 1)).difference(a_set))
-        return count
+        """f(A) * f(A-hat) under unit weights, A a p-subset of [2p] and A-hat
+        its complement there."""
+        a_set = set(a_set)
+        if len(a_set) != self.p or not a_set <= set(range(1, 2 * self.p + 1)):
+            raise GadgetError(f"pair count needs a {self.p}-subset of [{2 * self.p}]")
+        mask = sum(1 << i - 1 for i in a_set)
+        return self.table.get(mask, 0) * self.table.get(mask ^ (1 << 2 * self.p) - 1, 0)
 
 
 def _u_name(arc, l):
@@ -163,12 +167,29 @@ def build_gadget_network(m_hat: NestedMatching, connect: bool = False) -> Gadget
 def verify_P1_P2(gadget: GadgetNetwork, matching: NestedMatching, p: int, q: int) -> bool:
     """Exhaustively check P1/P2 by counts: f(A) * f(A-hat) is 1 when M is
     feasible for A (exactly one A-flow and one complement-flow) and 0
-    otherwise (one side has no flow).  A product, so a count of 2 fails."""
+    otherwise (one side has no flow).  A product, so a count of 2 fails.
+
+    Only the table's nonzero entries inside [p+q] are read: each A with a
+    nonzero product must have product 1 and be feasible, and there must be
+    2^q of them, as many as the p-subsets a nested q-arc matching on [p+q]
+    is feasible for.  A p-subset holding one end of each arc is feasible:
+    its other p - q members are then the free elements."""
     augment_matching(matching, p, q)  # rejects what is not a nested matching on [p+q]
-    return all(
-        gadget.pair_count(a_set) == is_feasible(matching, a_set)
-        for a_set in combinations(range(1, p + q + 1), p)
-    )
+    table = gadget.table
+    full = (1 << 2 * gadget.p) - 1
+    outside = full ^ ((1 << p + q) - 1)
+    arcs = [1 << i - 1 | 1 << j - 1 for i, j in matching.arcs]
+    paired = 0
+    for a_mask, count in table.items():
+        if a_mask & outside:
+            continue
+        product = count * table.get(full ^ a_mask, 0)
+        if not product:
+            continue
+        if product != 1 or any((a_mask & arc).bit_count() != 1 for arc in arcs):
+            return False
+        paired += 1
+    return paired == 1 << q
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ engines run on the network's compiled form (``PlanarNetwork.form``) and
 share one terminal rule.  Planarity
 plus the boundary order of the terminals force the k-th smallest chosen
 source to feed the k-th chosen sink, so both engines use only that pairing.
+
+Over a ring, :func:`flag_table` gives f(A) for every k-subset A at once: the
+wedge product of the path-matrix columns of the first k sinks
+(Lindström–Gessel–Viennot with Cauchy–Binet), one backward pass per column
+and one sparse pass per wedge.  It leans on the boundary order, so it
+refuses a network with a crossed pairing
+(``PlanarNetwork.crossed_pairing``).
 """
 
 from __future__ import annotations
@@ -403,8 +410,10 @@ class FlowFunction:
 def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
     """n x n matrix whose (j, i) entry is the path-weight sum from source i to
     sink j.  Its minors equal the (I, J)-flow sums only when the terminals sit
-    on the outer face in boundary order, which ``validate`` does not check: a
-    network whose only disjoint system crosses has a 2 x 2 minor of -1."""
+    on the outer face in boundary order.  ``validate`` lists a network that
+    breaks this (:attr:`PlanarNetwork.crossed_pairing`), but this function
+    does not refuse one: a network whose only disjoint system crosses has a
+    2 x 2 minor of -1."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     n = len(net.sources)
@@ -419,6 +428,83 @@ def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
             row.append(carrier.zero if total is None else total)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int) -> dict:
+    """f(A) for every k-subset A of the sources where it is nonzero, over a
+    ring carrier, keyed by the bitmask of A (bit i - 1 for source i).
+
+    With the terminals in boundary order, the Lindström–Gessel–Viennot lemma
+    and Cauchy–Binet make the wedge product of the path-matrix columns of
+    sinks 1..k equal to the sum of f(A) e_A over the k-subsets A; a network
+    with a crossed pairing (:attr:`PlanarNetwork.crossed_pairing`) raises
+    FlowError.  Column j comes from one backward pass from sink j over the
+    compiled form, paying the weights of :func:`_charged`; the columns are
+    wedged one at a time into a dict from bitmask to coordinate, the sign of
+    e_S ^ e_r being the parity of the members of S above r, and zero
+    coordinates are dropped.  A weight fault rides along as in the sweep; it
+    keeps zero coordinates from being dropped, so it reaches the coordinate
+    of every set one of whose flows pays it, and each coordinate it reaches
+    is settled by the sweep, which raises it exactly when a flow pays it."""
+    if not carrier.is_ring:
+        raise SemiringError(f"{carrier.name} is not a ring")
+    if k < 0:
+        raise FlowError("flag table needs k >= 0")
+    if k > min(len(net.sources), len(net.sinks)):
+        return {}
+    paid = _charged(net, weighting, carrier)
+    index, succ, ancestors = net.form.index, net.form.succ, net.form.ancestors
+    for v in net.sources + net.sinks[:k]:
+        if v not in index:
+            raise FlowError(f"terminal {v!r} is not a vertex")
+    if net.crossed_pairing:
+        raise FlowError(net.crossed_pairing)
+    one, zero = carrier.one, carrier.zero
+    mul, add, neg = carrier._mul, carrier._add, carrier._neg
+    faulty = any(type(v) is _Fault for v in paid)
+    if faulty:
+        mul, add = _guarded(mul), _guarded(add)
+
+        def neg(a):
+            return a if type(a) is _Fault else carrier._neg(a)
+
+    rows = [index[s] for s in net.sources]
+    table = {0: one}
+    for t in net.sinks[:k]:
+        end = index[t]
+        reach = ancestors[end]
+        # sums[p]: the weight sum of the paths p -> t, over the ancestors of t
+        w = paid[end]
+        sums = {end: one if w is None else w}
+        for p in range(end - 1, -1, -1):
+            if reach >> p & 1:
+                total = None
+                for u in succ[p]:
+                    if u in sums:
+                        total = sums[u] if total is None else add(total, sums[u])
+                w = paid[p]
+                sums[p] = total if w is None else mul(total, w)
+        column = [(r, 1 << r, (sums[p], neg(sums[p]))) for r, p in enumerate(rows) if p in sums]
+        wedge = {}
+        for members, x in table.items():
+            for r, bit, signed in column:
+                if members & bit:
+                    continue
+                term = mul(x, signed[(members >> r).bit_count() & 1])
+                key = members | bit
+                old = wedge.get(key)
+                wedge[key] = term if old is None else add(old, term)
+        if not faulty:
+            for key in [key for key, v in wedge.items() if v == zero]:
+                del wedge[key]
+        table = wedge
+    if faulty:
+        for key, v in table.items():
+            if type(v) is _Fault:
+                srcs = tuple(s for r, s in enumerate(net.sources) if key >> r & 1)
+                table[key] = _flow_sum(net, paid, srcs, net.sinks[:k], carrier)
+        table = {key: v for key, v in table.items() if v is not None and v != zero}
+    return table
 
 
 def _parity(perm: tuple[int, ...]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 
@@ -131,6 +132,60 @@ class PlanarNetwork:
         else:
             charge, breaches = order, ()
         return NetworkForm(index, succ, tuple(ancestors), charge, breaches)
+
+    @cached_property
+    def crossed_pairing(self) -> str | None:
+        """A description of source indices i < i2 and sink indices j < j2 with
+        vertex-disjoint paths s_i -> t_j2 and s_i2 -> t_j, or None when there
+        are none (or the network has a cycle); computed on first use.
+
+        Such a pair exists exactly when some disjoint path system pairs its
+        sources with its sinks other than in boundary order, since every
+        other pairing has an inverted pair of paths; the flow engines pair
+        the k-th source with the k-th sink.  One reachability pass over pairs
+        of path heads, from every source pair at once (Perl and Shiloach,
+        JACM 1978): the live head earlier in topological order moves, never
+        onto the other head, so neither path can reach a position the other
+        has left.  A head at a sink may stop there for good, written ~p; it
+        then lies before the live head.  O(V^2 * degree) steps."""
+        form = self.form
+        if form is None:
+            return None
+        index, succ = form.index, form.succ
+        sink_ids: dict[int, list[int]] = {}
+        for j, t in enumerate(self.sinks, 1):
+            if t in index:
+                sink_ids.setdefault(index[t], []).append(j)
+        starts = [(index[s], i) for i, s in enumerate(self.sources, 1) if s in index]
+        origin = {}  # state -> the source indices it was first reached from
+        for (a, i), (b, i2) in combinations(starts, 2):
+            if a != b:
+                origin.setdefault((a, b), (i, i2))
+        stack = list(origin)
+        while stack:
+            state = stack.pop()
+            a, b = state
+            if a < 0 and b < 0:
+                j2, j = max(sink_ids[~a]), min(sink_ids[~b])
+                if j < j2:
+                    i, i2 = origin[state]
+                    s, s2, t, t2 = self.sources[i - 1], self.sources[i2 - 1], self.sinks[j - 1], self.sinks[j2 - 1]
+                    return (
+                        f"crossed pairing: s{i} -> t{j2} and s{i2} -> t{j} have vertex-disjoint "
+                        f"paths ({s} -> {t2}, {s2} -> {t})"
+                    )
+                continue
+            lower = b < 0 or 0 <= a < b  # the head that moves is a
+            head, other = (a, b) if lower else (b, a)
+            moves = [u for u in succ[head] if u != other]
+            if head in sink_ids:
+                moves.append(~head)
+            for u in moves:
+                after = (u, other) if lower else (other, u)
+                if after not in origin:
+                    origin[after] = origin[state]
+                    stack.append(after)
+        return None
 
     def original_vertices(self) -> tuple[str, ...]:
         """Pre-split vertex ids, in their original order, for split networks."""
@@ -272,7 +327,9 @@ def vertex_split(net: PlanarNetwork) -> PlanarNetwork:
 def validate(net: PlanarNetwork) -> list[str]:
     """Structural violations as human-readable strings; empty means accepted.
 
-    Planarity is not checked (declared by the builder or the user)."""
+    Planarity is not checked (declared by the builder or the user), but a
+    crossed pairing (:attr:`PlanarNetwork.crossed_pairing`), which the flow
+    engines' k-th source to k-th sink rule cannot see, is listed."""
     problems = []
     seen = set()
     for v in net.vertices:
@@ -306,6 +363,8 @@ def validate(net: PlanarNetwork) -> list[str]:
             problems.append(f"duplicate edge ({tail}, {head})")
         edge_seen.add((tail, head))
     problems.extend(net.form.breaches if net.form else ())
+    if net.crossed_pairing:
+        problems.append(net.crossed_pairing)
     placed = set(net.order)
     left = [v for v in dict.fromkeys(net.vertices) if v not in placed]
     if left:

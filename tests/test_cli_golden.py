@@ -25,6 +25,8 @@ POLY_WEIGHTS = "1,1 a\n2,1 b\n2,2 2·a·b\n3,1 c + 1\n3,2 a^2\n3,3 b + c\n"
 SIGNED_WEIGHTS = "1,1 a\n2,1 -b\n2,2 a\n3,1 b\n3,2 a\n3,3 b\n"
 # A value that is no integer, on the third line of the file.
 BAD_WEIGHTS = "1,1 1\n# the next value is no integer\n2,1 x\n"
+# Terminals out of boundary order: the only disjoint system pairs a -> d, b -> c.
+CROSSED = "vertex a\nvertex b\nvertex c\nvertex d\nedge a d\nedge b c\nsources a b\nsinks c d\n"
 
 # Pair files made by `gen-family`, and a copy of each with the last
 # right-hand subset dropped, which is unbalanced.
@@ -86,6 +88,8 @@ CASES = [
     "flows --network halfgrid:11 -I 1,2,4,8,10,11 -J 1,2,3,6,7,10",
     "laurent -n 10 -A 1,3,5,7,10 --format json",
     "lindstrom --network halfgrid:3 --weights bad.w",
+    "flows --network crossed.net -I 1,2",
+    "lindstrom --network crossed.net",
     # generated pairs
     "check-balance quintuple.txt",
     "check-balance quintuple-dropped.txt --format json",
@@ -143,6 +147,8 @@ EXPECTED = {
     'flows --network halfgrid:11 -I 1,2,4,8,10,11 -J 1,2,3,6,7,10': (0, 'sha256:0277987db0f7a0aa749a0cba4fe541eea25278b382a4bbb071a485c4c371b5ef'),
     'laurent -n 10 -A 1,3,5,7,10 --format json': (0, 'sha256:94e3665dd5e55cd1316ab94d0cc42f78b79fa686f87542fa2344e55fe7dca56d'),
     'lindstrom --network halfgrid:3 --weights bad.w': (2, ''),
+    'flows --network crossed.net -I 1,2': (2, ''),
+    'lindstrom --network crossed.net': (2, ''),
     'check-balance quintuple.txt': (0, 'balanced\n'),
     'check-balance quintuple-dropped.txt --format json': (1, '{"command": "check-balance", "data": {"balanced": false, "lhs_count": 1, "rhs_count": 0, "witness": [[1, 2], [4, 5]]}, "ok": false, "schema": 1}\n'),
     'check-balance interval.txt': (0, 'balanced\n'),
@@ -171,7 +177,7 @@ def _run(argv):
 
 def _write_inputs(directory: Path) -> None:
     files = {"pair.txt": BALANCED, "unbalanced.txt": UNBALANCED, "int.w": INT_WEIGHTS, "poly.w": POLY_WEIGHTS,
-             "signed.w": SIGNED_WEIGHTS, "bad.w": BAD_WEIGHTS}
+             "signed.w": SIGNED_WEIGHTS, "bad.w": BAD_WEIGHTS, "crossed.net": CROSSED}
     for name, argv in GENERATED.items():
         out = _run(argv)[1]
         files[f"{name}.txt"] = out
@@ -205,6 +211,20 @@ def test_bad_weight_names_its_vertex_line_and_file(tmp_path, monkeypatch):
     with contextlib.redirect_stderr(err):
         code, out = _run("lindstrom --network halfgrid:3 --weights bad.w".split())
     message = "error: invalid literal for int() with base 10: 'x' (vertex '2,1' on line 3 of 'bad.w')\n"
+    assert (code, out, err.getvalue()) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", ["flows --network crossed.net -I 1,2", "lindstrom --network crossed.net"])
+def test_crossed_network_names_the_pairing(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run(command.split())
+    message = (
+        "error: invalid network: crossed pairing: s1 -> t2 and s2 -> t1 have vertex-disjoint paths "
+        "(a -> d, b -> c)\n"
+    )
     assert (code, out, err.getvalue()) == (2, "", message)
 
 

@@ -11,7 +11,7 @@ from sqflows.counterexample import (
     side_sums,
     verify_P1_P2,
 )
-from sqflows.flows import enumerate_flag_flows
+from sqflows.flows import FlowFunction, enumerate_flag_flows, flag_table
 from sqflows.matchings import (
     MatchingError,
     NestedMatching,
@@ -21,6 +21,8 @@ from sqflows.matchings import (
     is_feasible,
 )
 from sqflows.network import PlanarNetwork, validate
+from sqflows.relations import family_tail_fixed
+from sqflows.semiring import EXACT_INT
 
 
 def test_augment_identity_when_p_equals_q():
@@ -151,6 +153,28 @@ def test_p1_p2_counts_above_one_fail():
     assert not verify_P1_P2(gadget, m, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "arcs, p, q, feasible, infeasible",
+    [
+        (((1, 4), (2, 3)), 2, 2, (1, 2), (1, 4)),  # no end of (2, 3)
+        (((1, 2), (3, 4)), 3, 2, (1, 3, 5), (1, 2, 3)),  # both ends of (1, 2)
+    ],
+    ids=["arc-without-end", "arc-with-both-ends"],
+)
+def test_p1_p2_reads_feasibility_not_only_the_count(arcs, p, q, feasible, infeasible):
+    # a table whose products are 1 on 2^q sets still fails when one of them
+    # is infeasible: the pair of a feasible A moved to an infeasible one
+    m = NestedMatching(arcs, p + q)
+    g = build_gadget_network(augment_matching(m, p, q).result)
+    table = dict(g.table)
+    full = (1 << 2 * p) - 1
+    old, new = (sum(1 << i - 1 for i in a) for a in (feasible, infeasible))
+    assert verify_P1_P2(g, m, p, q) and table[old] == table[full ^ old] == 1
+    del table[old], table[full ^ old]
+    vars(g)["table"] = {**table, new: 1, full ^ new: 1}
+    assert not verify_P1_P2(g, m, p, q)
+
+
 def test_p1_p2_exhaustive_small():
     # every nested matching with p + q <= 8 yields a correct gadget
     for p in range(1, 8):
@@ -161,6 +185,54 @@ def test_p1_p2_exhaustive_small():
                 aug = augment_matching(m, p, q)
                 g = build_gadget_network(aug.result)
                 assert verify_P1_P2(g, m, p, q), (p, q, m.arcs)
+
+
+def test_gadget_table_matches_sweep():
+    # every gadget with p + q <= 8, with and without the connecting vertices:
+    # on [2p] with 2p <= 8 the table of every level equals the sweep on
+    # every subset; above, the level-p table equals it on every p-subset of
+    # [p+q] and its complement, all that verify_P1_P2 and pair_count read
+    gadgets = {}
+    for p in range(1, 8):
+        for q in range(1, min(p, 8 - p) + 1):
+            for m in enumerate_nested_matchings(p + q, q):
+                gadgets.setdefault(augment_matching(m, p, q).result, []).append(q)
+    assert len(gadgets) == 77
+    for m_hat, qs in gadgets.items():
+        for connect in (False, True):
+            g = build_gadget_network(m_hat, connect)
+            ones = dict.fromkeys(g.network.vertices, 1)
+            f = FlowFunction(g.network, ones, EXACT_INT)
+            sources = range(1, 2 * g.p + 1)
+            if 2 * g.p <= 8:
+                checked = [(k, A) for k in range(2 * g.p + 1) for A in combinations(sources, k)]
+            else:
+                inside = {A for q in qs for A in combinations(range(1, g.p + q + 1), g.p)}
+                checked = [(g.p, B) for A in inside for B in (A, tuple(set(sources) - set(A)))]
+            tables = {}
+            for k, A in checked:
+                if k not in tables:
+                    tables[k] = flag_table(g.network, ones, EXACT_INT, k)
+                assert tables[k].get(sum(1 << i - 1 for i in A), 0) == f(A)
+            assert tables[g.p] == g.table
+
+
+def test_pair_count_needs_a_p_subset():
+    g = build_gadget_network(NestedMatching(((1, 4), (2, 3)), 4))
+    assert g.pair_count((1, 2)) == 1
+    for bad in ((1,), (1, 2, 3), (0, 1), (4, 5)):
+        with pytest.raises(GadgetError, match=r"^pair count needs a 2-subset of \[4\]$"):
+            g.pair_count(bad)
+
+
+def test_reach_at_nine_eight():
+    # the tail-fixed family with Q = {p+q} and its first left member dropped:
+    # the table reads all 48 620 9-subsets of the 18 gadget sources at once
+    relation = family_tail_fixed(9, 8, (17,))
+    report = evaluate_inequality(collection(9, 8, relation.lhs.members[1:]), relation.rhs)
+    assert (report.lhs_sum, report.rhs_sum) == (1, 2)
+    assert report.p1_p2_verified
+    assert len(report.gadget.table) == 9724
 
 
 def test_closed_loop_random_pairs_up_to_seven():

@@ -1,7 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _brute import all_simple_paths
 
 import sqflows.doubleflow as dfmod
 from sqflows.cli import main
@@ -115,11 +119,15 @@ def _ab(edges=(("a", "b"),), sources=("a",), sinks=("b",), vertices=("a", "b"), 
         (lambda: parse_network("vertex a 1\nsources a\nsinks a\n"), ["line 1: vertex takes id or id x y"]),
         (lambda: parse_network("vertex a 1 y\nsources a\nsinks a\n"), ["line 1: bad coordinates"]),
         (lambda: build_half_grid(0), ["half-grid needs n >= 1"]),
+        (
+            lambda: _ab(edges=(("a", "d"), ("b", "c")), vertices="abcd", sources=("a", "b"), sinks=("c", "d")),
+            ["crossed pairing: s1 -> t2 and s2 -> t1 have vertex-disjoint paths (a -> d, b -> c)"],
+        ),
     ],
     ids=["duplicate-vertex", "source-not-vertex", "sink-not-vertex", "unknown-tail", "self-loop",
          "duplicate-edge", "charged-twice", "unpaid-sink", "unpaid-successor", "unpaid-dead-end",
          "vertex-arity",
-         "bad-coordinates", "half-grid-zero"],
+         "bad-coordinates", "half-grid-zero", "crossed-pairing"],
 )
 def test_network_check_messages(make, problems):
     assert _problems(make) == problems
@@ -339,6 +347,7 @@ def test_builders_splits_and_subnetworks_keep_the_charge_rule(monkeypatch):
     assert len(subnetworks) == 306
     for sub in subnetworks:
         assert sub.form.breaches == ()
+        assert sub.crossed_pairing is None
 
 
 def _unpaid_path_network():
@@ -364,3 +373,41 @@ def test_unpaid_path_is_rejected():
     for run in runs:
         with pytest.raises(FlowError, match="breaks the charge rule: source s1 pays no weight"):
             run()
+
+
+def _brute_crossing(net):
+    """Whether some source indices i < i2 and sink indices j < j2 have
+    vertex-disjoint paths s_i -> t_j2 and s_i2 -> t_j, by listing paths."""
+    pairs = combinations(range(len(net.sources)), 2)
+    for (i, i2), (j, j2) in product(pairs, list(combinations(range(len(net.sinks)), 2))):
+        for first in all_simple_paths(net, net.sources[i], net.sinks[j2]):
+            for second in all_simple_paths(net, net.sources[i2], net.sinks[j]):
+                if not set(first) & set(second):
+                    return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_crossed_pairing_matches_brute_force(size, data):
+    # random DAGs, not planar, with terminals anywhere, repeated or shared
+    names = [f"v{k}" for k in range(size)]
+    edges = data.draw(st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                              .filter(lambda e: e[0] < e[1])))
+    terminals = st.lists(st.sampled_from(names), min_size=1, max_size=4)
+    net = PlanarNetwork(
+        vertices=tuple(names),
+        edges=tuple((names[a], names[b]) for a, b in sorted(edges)),
+        sources=tuple(data.draw(terminals)),
+        sinks=tuple(data.draw(terminals)),
+    )
+    assert (net.crossed_pairing is not None) == _brute_crossing(net)
+
+
+def test_crossed_pairing_is_computed_on_demand():
+    # compiling the form, which every flow call does, leaves the verdict alone
+    net = build_half_grid(6)
+    assert net.form is not None and "crossed_pairing" not in vars(net)
+    FlowFunction(net, dict.fromkeys(net.vertices, 1), EXACT_INT)({1, 3})
+    assert "crossed_pairing" not in vars(net)
+    assert validate(net) == [] and vars(net)["crossed_pairing"] is None

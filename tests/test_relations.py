@@ -271,8 +271,10 @@ def test_symbolic_check_rejects_repeated_charges():
         origins=tuple((v, origin) for edge, origin in zip(split, "aaaabe") for v in edge),
         planarity="declared",
     )
-    (problem,) = validate(net)
-    assert problem.startswith("weight a charged at 6 vertices: ")
+    # its terminals are out of boundary order too: s2 -> x1 .. -> t2 misses s3 -> z1 .. -> t1
+    charged, crossed = validate(net)
+    assert charged.startswith("weight a charged at 6 vertices: ")
+    assert crossed == "crossed pairing: s2 -> t2 and s3 -> t1 have vertex-disjoint paths (s2 -> t2, s3 -> t1)"
     rel = QuadraticRelation(2, 1, collection(2, 1, [(1, 2)]), collection(2, 1, [(1, 3)]))
     g = FlowFunction(net, {v: Poly.variable(v) for v in "abe"}, Starred(POLY_NAT))
     with pytest.raises(FlowError, match="weight a charged at 6 vertices"):

@@ -1,6 +1,7 @@
 """The frontier sweep behind f(I) and the path matrix, checked against
 enumeration (``enumerate_flag_flows`` + ``flow_weight``) and the brute-force
-oracle, value and type, and for the same errors."""
+oracle, value and type, and for the same errors; the exterior-product table
+(``flag_table``) checked against the sweep and the oracle."""
 
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from sqflows.flows import (
     enumerate_flag_flows,
     enumerate_flows,
     evaluate_fgf,
+    flag_table,
     flow_weight,
     lindstrom_matrix,
     undefined_value,
@@ -35,6 +37,7 @@ from sqflows.semiring import (
     STAR,
     CarrierMismatch,
     Poly,
+    SemiringError,
     Starred,
 )
 
@@ -329,3 +332,99 @@ def test_weights_are_checked_once(monkeypatch):
     checked.clear()
     assert lindstrom_matrix(g, weights, EXACT_INT) == matrix
     assert sorted(checked) == sorted(weights.values())
+
+
+def _mask(A) -> int:
+    return sum(1 << i - 1 for i in A)
+
+
+def swept_table(net, weighting, carrier, k):
+    """The flag table as the sweep gives it: f(A) on every k-subset, zeros
+    left out."""
+    f = FlowFunction(net, weighting, carrier)
+    values = {_mask(A): f(A) for A in combinations(range(1, len(net.sources) + 1), k)}
+    return {key: v for key, v in values.items() if v != carrier.zero}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases(carriers=(EXACT_INT, POLY_INT)))
+def test_flag_table_matches_sweep_and_brute_force(case):
+    # signed weights, every k: the wedge of the path-matrix columns is the
+    # sweep's f on every k-subset, and the brute-force oracle's where small
+    net, weighting, _, carrier = case
+    n = len(net.sources)
+    for k in range(n + 2):
+        table = flag_table(net, weighting, carrier, k)
+        assert table == swept_table(net, weighting, carrier, k)
+        assert all(type(v) is type(carrier.one) for v in table.values())
+        if len(net.vertices) <= 12:
+            for A in combinations(range(1, n + 1), k):
+                assert table.get(_mask(A), carrier.zero) == brute(net, weighting, A, carrier)
+
+
+def test_flag_table_refusals():
+    ones = {v: 1 for v in CROSSED.vertices}
+    for k in (0, 1, 2):
+        with pytest.raises(FlowError, match="^crossed pairing: s1 -> t2 and s2 -> t1 have vertex-disjoint"):
+            flag_table(CROSSED, ones, EXACT_INT, k)
+    g = build_half_grid(3)
+    for carrier in PLAIN:
+        if not carrier.is_ring:
+            with pytest.raises(SemiringError, match="is not a ring"):
+                flag_table(g, dict.fromkeys(g.vertices, carrier.one), carrier, 2)
+    with pytest.raises(FlowError, match="k >= 0"):
+        flag_table(g, dict.fromkeys(g.vertices, 1), EXACT_INT, -1)
+    cyclic = PlanarNetwork(
+        vertices=("a", "b", "c"), edges=(("a", "b"), ("b", "c"), ("c", "b")), sources=("a",), sinks=("c",)
+    )
+    with pytest.raises(FlowError, match="cycle"):
+        flag_table(cyclic, dict.fromkeys(cyclic.vertices, 1), EXACT_INT, 1)
+    stray = PlanarNetwork(vertices=("a", "b"), edges=(("a", "b"),), sources=("a", "x"), sinks=("b", "y"))
+    with pytest.raises(FlowError, match="terminal 'x' is not a vertex"):
+        flag_table(stray, {"a": 1, "b": 1}, EXACT_INT, 1)
+    # no k-subset, or more sources than sinks: nothing to list
+    assert flag_table(g, dict.fromkeys(g.vertices, 1), EXACT_INT, 4) == {}
+    assert flag_table(g, dict.fromkeys(g.vertices, 1), EXACT_INT, 0) == {0: 1}
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_half_grid(5), vertex_split(build_half_grid(4))]
+    + [random_grid_network(4, 2, random.Random(s)) for s in range(3)]
+    + GADGETS[-3:],
+    ids=lambda net: f"{len(net.vertices)}v",
+)
+def test_flag_table_raises_a_bad_weight_as_the_sweep_does(net):
+    # the table raises exactly when the sweep raises on some k-subset, with
+    # the same error, and otherwise lists the sweep's values
+    keys = net.original_vertices() or net.vertices
+    weights = dict.fromkeys(keys, 1)
+    weights[keys[0]], weights[keys[-1]] = 0, -1  # a zero weight must not hide a fault
+    for v in keys:
+        for bad in ({u: x for u, x in weights.items() if u != v}, dict(weights, **{v: "1"})):
+            for k in range(len(net.sources) + 1):
+                try:
+                    expected = swept_table(net, bad, EXACT_INT, k)
+                except (FlowError, CarrierMismatch) as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        flag_table(net, bad, EXACT_INT, k)
+                    assert str(raised.value) == str(exc)
+                else:
+                    assert flag_table(net, bad, EXACT_INT, k) == expected
+
+
+def test_flag_table_settles_a_fault_no_flow_pays():
+    # v3 lies on paths of both sources, so the coordinate of {1, 2} carries
+    # its missing weight, but no disjoint system exists: v0's paths pass the
+    # source v1.  The sweep settles the coordinate to no flow.
+    net = PlanarNetwork(
+        vertices=("v0", "v1", "v3", "v4", "v5"),
+        edges=(("v0", "v1"), ("v1", "v3"), ("v1", "v5"), ("v3", "v4"), ("v3", "v5")),
+        sources=("v0", "v1"),
+        sinks=("v4", "v5"),
+    )
+    weights = {"v0": 1, "v1": 2, "v4": 1, "v5": 1}
+    assert evaluate_fgf(net, weights, {1, 2}, EXACT_INT) == 0
+    assert flag_table(net, weights, EXACT_INT, 2) == {}
+    with pytest.raises(FlowError, match="missing vertex 'v3'"):
+        flag_table(net, weights, EXACT_INT, 1)
