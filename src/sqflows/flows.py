@@ -1,11 +1,10 @@
 """Flag flows, (I,J)-flows, flow-generated functions, and the path matrix.
 
-f(I) and the path matrix come from a frontier sweep over the vertices in
-topological order (the transfer-matrix method): it sums weight products over
-labelled partial path systems without listing them, using only the carrier's
-addition and multiplication.  Enumeration lists the flows themselves, for the
-commands and modules that output every flow (``flows``, double flows, Laurent
-expansion).  It builds a DAG of path choices once per listing: node (k, key)
+f(I) comes from a frontier sweep over the vertices in topological order (the
+transfer-matrix method): it sums weight products over labelled partial path
+systems without listing them, using only the carrier's addition and
+multiplication.  Enumeration lists the flows themselves, for the commands and
+modules that output every flow (``flows``, double flows, Laurent expansion).  It builds a DAG of path choices once per listing: node (k, key)
 holds the ways path k can continue a system whose first k paths took the
 positions ``key``, counted only where paths k, k+1, ... may still go, so a
 path is found and labelled once per distinct key instead of once per flow;
@@ -16,18 +15,16 @@ share one terminal rule.  Planarity
 plus the boundary order of the terminals force the k-th smallest chosen
 source to feed the k-th chosen sink, so both engines use only that pairing.
 
-Over a ring, :func:`flag_table` gives f(A) for every k-subset A at once: the
-wedge product of the path-matrix columns of the first k sinks
-(Lindström–Gessel–Viennot with Cauchy–Binet), one backward pass per column
-and one sparse pass per wedge.  It leans on the boundary order, so it
-refuses a network with a crossed pairing
-(``PlanarNetwork.crossed_pairing``).
+Over a ring, two helpers carry the Lindström–Gessel–Viennot lemma: a
+backward pass from a sink gives a path-matrix column (:func:`_column`), and a
+sparse exterior product wedges vectors (:func:`_wedge`).  They serve
+:func:`lindstrom_matrix`, :func:`minor` and :func:`flag_table`, which
+refuses a network with a crossed pairing (``PlanarNetwork.crossed_pairing``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterable, Mapping
 
 from .network import NetworkForm, PlanarNetwork
@@ -296,17 +293,22 @@ def _charged(net: PlanarNetwork, weighting: Mapping, carrier: Carrier) -> tuple:
     )
 
 
-def _guarded(op):
-    """``op`` passing faults through."""
+def _guarded(paid: tuple, *ops):
+    """The carrier operations ``ops`` as given, or passing faults through
+    when ``paid`` holds one."""
+    if not any(type(v) is _Fault for v in paid):
+        return ops
 
-    def guarded(a, b):
-        if type(a) is _Fault:
-            return a
-        if type(b) is _Fault:
-            return b
-        return op(a, b)
+    def guard(op):
+        def guarded(*args):
+            for a in args:
+                if type(a) is _Fault:
+                    return a
+            return op(*args)
 
-    return guarded
+        return guarded
+
+    return [guard(op) for op in ops]
 
 
 _ABSENT = object()
@@ -337,9 +339,7 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
     m = len(starts)
     if m == 0:
         return carrier.product(())
-    mul, add = carrier._mul, carrier._add
-    if any(type(v) is _Fault for v in paid):
-        mul, add = _guarded(mul), _guarded(add)
+    mul, add = _guarded(paid, carrier._mul, carrier._add)
     succ = net.form.succ
 
     # A value is None, the empty product, only until its first payment.  Two
@@ -407,84 +407,33 @@ class FlowFunction:
         return self._memo[key]
 
 
-def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
-    """n x n matrix whose (j, i) entry is the path-weight sum from source i to
-    sink j.  Its minors equal the (I, J)-flow sums only when the terminals sit
-    on the outer face in boundary order.  ``validate`` lists a network that
-    breaks this (:attr:`PlanarNetwork.crossed_pairing`), but this function
-    does not refuse one: a network whose only disjoint system crosses has a
-    2 x 2 minor of -1."""
-    if not carrier.is_ring:
-        raise SemiringError(f"{carrier.name} is not a ring")
-    n = len(net.sources)
-    if len(net.sinks) != n:
-        raise FlowError("path matrix needs equally many sources and sinks")
-    paid = _charged(net, weighting, carrier)
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for i in range(1, n + 1):
-            total = _flow_sum(net, paid, (net.sources[i - 1],), (net.sinks[j - 1],), carrier)
-            row.append(carrier.zero if total is None else total)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _column(form: NetworkForm, paid: tuple, end: int, one, mul, add) -> dict:
+    """One backward pass from the sink at position ``end`` over the compiled
+    form: the weight sum of the paths p -> end, keyed by every ancestor
+    position p, each path paying the weights of :func:`_charged`."""
+    succ = form.succ
+    reach = form.ancestors[end]
+    w = paid[end]
+    sums = {end: one if w is None else w}
+    for p in range(end - 1, -1, -1):
+        if reach >> p & 1:
+            total = None
+            for u in succ[p]:
+                if u in sums:
+                    total = sums[u] if total is None else add(total, sums[u])
+            w = paid[p]
+            sums[p] = total if w is None else mul(total, w)
+    return sums
 
 
-def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int) -> dict:
-    """f(A) for every k-subset A of the sources where it is nonzero, over a
-    ring carrier, keyed by the bitmask of A (bit i - 1 for source i).
-
-    With the terminals in boundary order, the Lindström–Gessel–Viennot lemma
-    and Cauchy–Binet make the wedge product of the path-matrix columns of
-    sinks 1..k equal to the sum of f(A) e_A over the k-subsets A; a network
-    with a crossed pairing (:attr:`PlanarNetwork.crossed_pairing`) raises
-    FlowError.  Column j comes from one backward pass from sink j over the
-    compiled form, paying the weights of :func:`_charged`; the columns are
-    wedged one at a time into a dict from bitmask to coordinate, the sign of
-    e_S ^ e_r being the parity of the members of S above r, and zero
-    coordinates are dropped.  A weight fault rides along as in the sweep; it
-    keeps zero coordinates from being dropped, so it reaches the coordinate
-    of every set one of whose flows pays it, and each coordinate it reaches
-    is settled by the sweep, which raises it exactly when a flow pays it."""
-    if not carrier.is_ring:
-        raise SemiringError(f"{carrier.name} is not a ring")
-    if k < 0:
-        raise FlowError("flag table needs k >= 0")
-    if k > min(len(net.sources), len(net.sinks)):
-        return {}
-    paid = _charged(net, weighting, carrier)
-    index, succ, ancestors = net.form.index, net.form.succ, net.form.ancestors
-    for v in net.sources + net.sinks[:k]:
-        if v not in index:
-            raise FlowError(f"terminal {v!r} is not a vertex")
-    if net.crossed_pairing:
-        raise FlowError(net.crossed_pairing)
-    one, zero = carrier.one, carrier.zero
-    mul, add, neg = carrier._mul, carrier._add, carrier._neg
-    faulty = any(type(v) is _Fault for v in paid)
-    if faulty:
-        mul, add = _guarded(mul), _guarded(add)
-
-        def neg(a):
-            return a if type(a) is _Fault else carrier._neg(a)
-
-    rows = [index[s] for s in net.sources]
+def _wedge(vectors, one, mul, add, neg, zero=None) -> dict:
+    """The exterior product of ``vectors``, lists of (r, coordinate on e_r),
+    as a dict from the bitmask of S to the coordinate of e_S; the sign of
+    e_S ^ e_r is the parity of the members of S above r.  Unless ``zero`` is
+    None, coordinates equal to it are dropped after each factor."""
     table = {0: one}
-    for t in net.sinks[:k]:
-        end = index[t]
-        reach = ancestors[end]
-        # sums[p]: the weight sum of the paths p -> t, over the ancestors of t
-        w = paid[end]
-        sums = {end: one if w is None else w}
-        for p in range(end - 1, -1, -1):
-            if reach >> p & 1:
-                total = None
-                for u in succ[p]:
-                    if u in sums:
-                        total = sums[u] if total is None else add(total, sums[u])
-                w = paid[p]
-                sums[p] = total if w is None else mul(total, w)
-        column = [(r, 1 << r, (sums[p], neg(sums[p]))) for r, p in enumerate(rows) if p in sums]
+    for vector in vectors:
+        column = [(r, 1 << r, (x, neg(x))) for r, x in vector]
         wedge = {}
         for members, x in table.items():
             for r, bit, signed in column:
@@ -494,47 +443,95 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
                 key = members | bit
                 old = wedge.get(key)
                 wedge[key] = term if old is None else add(old, term)
-        if not faulty:
+        if zero is not None:
             for key in [key for key, v in wedge.items() if v == zero]:
                 del wedge[key]
         table = wedge
+    return table
+
+
+def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
+    """n x n matrix whose (j, i) entry is the path-weight sum from source i to
+    sink j, row j one :func:`_column` pass.  Its minors equal the (I, J)-flow
+    sums only with the terminals in boundary order, which this function does
+    not check (:attr:`PlanarNetwork.crossed_pairing`): a network whose only
+    disjoint system crosses has a 2 x 2 minor of -1.  An entry that a weight
+    fault reaches, or whose terminal is not a vertex, is settled by the sweep,
+    which raises as it does on that entry."""
+    if not carrier.is_ring:
+        raise SemiringError(f"{carrier.name} is not a ring")
+    if len(net.sinks) != len(net.sources):
+        raise FlowError("path matrix needs equally many sources and sinks")
+    paid = _charged(net, weighting, carrier)
+    mul, add = _guarded(paid, carrier._mul, carrier._add)
+    index = net.form.index
+    rows = []
+    for t in net.sinks:
+        sums = _column(net.form, paid, index[t], carrier.one, mul, add) if t in index else {}
+        row = []
+        for s in net.sources:
+            total = sums.get(index.get(s))
+            if type(total) is _Fault or s not in index or t not in index:
+                total = _flow_sum(net, paid, (s,), (t,), carrier)
+            row.append(carrier.zero if total is None else total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int) -> dict:
+    """f(A) for every k-subset A of the sources where it is nonzero, over a
+    ring carrier, keyed by the bitmask of A (bit i - 1 for source i).
+
+    With the terminals in boundary order, Lindström–Gessel–Viennot and
+    Cauchy–Binet make the :func:`_wedge` of the :func:`_column` passes of
+    sinks 1..k the sum of f(A) e_A over the k-subsets A; a network with a
+    crossed pairing (:attr:`PlanarNetwork.crossed_pairing`) raises FlowError.
+    A weight fault rides along as in the sweep and keeps zero coordinates, so
+    it reaches the coordinate of every set one of whose flows pays it; each
+    such coordinate is settled by the sweep, which raises the fault exactly
+    when a flow pays it."""
+    if not carrier.is_ring:
+        raise SemiringError(f"{carrier.name} is not a ring")
+    if k < 0:
+        raise FlowError("flag table needs k >= 0")
+    if k > min(len(net.sources), len(net.sinks)):
+        return {}
+    paid = _charged(net, weighting, carrier)
+    index = net.form.index
+    for v in net.sources + net.sinks[:k]:
+        if v not in index:
+            raise FlowError(f"terminal {v!r} is not a vertex")
+    if net.crossed_pairing:
+        raise FlowError(net.crossed_pairing)
+    faulty = any(type(v) is _Fault for v in paid)
+    mul, add, neg = _guarded(paid, carrier._mul, carrier._add, carrier._neg)
+    rows = [index[s] for s in net.sources]
+    passes = (_column(net.form, paid, index[t], carrier.one, mul, add) for t in net.sinks[:k])
+    columns = [[(r, col[p]) for r, p in enumerate(rows) if p in col] for col in passes]
+    table = _wedge(columns, carrier.one, mul, add, neg, None if faulty else carrier.zero)
     if faulty:
         for key, v in table.items():
             if type(v) is _Fault:
                 srcs = tuple(s for r, s in enumerate(net.sources) if key >> r & 1)
                 table[key] = _flow_sum(net, paid, srcs, net.sinks[:k], carrier)
-        table = {key: v for key, v in table.items() if v is not None and v != zero}
+        table = {key: v for key, v in table.items() if v is not None and v != carrier.zero}
     return table
 
 
-def _parity(perm: tuple[int, ...]) -> int:
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return inv & 1
-
-
 def minor(matrix, I: Iterable[int], J: Iterable[int], carrier: Carrier):
-    """Determinant of the submatrix with column set I and row set J, by the
-    signed Leibniz expansion.  The empty minor is one."""
+    """Determinant of the submatrix with column set I and row set J over a
+    ring carrier: the coordinate of e_1 ^ ... ^ e_k in the wedge of its rows
+    (:func:`_wedge`).  The index sets are checked against the matrix and its
+    entries against the carrier.  The empty minor is one."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
-    cols = sorted(I)
-    rows = sorted(J)
+    cols = _check_indices("column", I, min(map(len, matrix), default=0))
+    rows = _check_indices("row", J, len(matrix))
     if len(cols) != len(rows):
         raise FlowError("minor needs |I| = |J|")
-    k = len(cols)
-    if k == 0:
-        return carrier.one
     sub = [[matrix[j - 1][i - 1] for i in cols] for j in rows]
-    total = carrier.zero
-    for perm in permutations(range(k)):
-        term = carrier.one
-        for r in range(k):
-            term = carrier.mul(term, sub[r][perm[r]])
-        if _parity(perm):
-            term = carrier.neg(term)
-        total = carrier.add(total, term)
-    return total
+    carrier.check(*(x for row in sub for x in row))
+    zero = carrier.zero
+    vectors = [[(c, x) for c, x in enumerate(row) if x != zero] for row in sub]
+    table = _wedge(vectors, carrier.one, carrier._mul, carrier._add, carrier._neg, zero)
+    return table.get((1 << len(cols)) - 1, zero)

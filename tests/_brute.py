@@ -2,8 +2,8 @@
 
 These deliberately avoid the production algorithms: path systems come from a
 plain all-simple-paths DFS over every sink pairing, matchings from endpoint
-subsets times all pairings, determinants from cofactor expansion, Laurent
-monomials from a Counter of interval degrees per flow.
+subsets times all pairings, determinants from cofactor or Leibniz expansion,
+Laurent monomials from a Counter of interval degrees per flow.
 """
 
 from collections import Counter
@@ -122,4 +122,18 @@ def det_cofactor(matrix):
         sub = [row[:c] + row[c + 1 :] for row in [list(r) for r in matrix[1:]]]
         term = matrix[0][c] * det_cofactor(sub)
         total += term if c % 2 == 0 else -term
+    return total
+
+
+def det_leibniz(matrix, carrier):
+    """Determinant over a ring carrier by the signed Leibniz expansion, the
+    sign of a permutation taken from its inversion count."""
+    k = len(matrix)
+    total = carrier.zero
+    for perm in permutations(range(k)):
+        term = carrier.one
+        for r in range(k):
+            term = carrier.mul(term, matrix[r][perm[r]])
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        total = carrier.add(total, carrier.neg(term) if inversions & 1 else term)
     return total

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _brute import det_cofactor, naive_disjoint_systems, naive_flag_flows
+from _brute import det_cofactor, det_leibniz, naive_disjoint_systems, naive_flag_flows
 from sqflows.flows import (
     FlowError,
     FlowFunction,
@@ -19,9 +21,11 @@ from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network,
 from sqflows.semiring import (
     COUNTING_NAT,
     EXACT_INT,
+    POLY_INT,
     POLY_NAT,
     POSITIVE_RATIONAL,
     STAR,
+    CarrierMismatch,
     SemiringError,
     Poly,
     Starred,
@@ -197,6 +201,23 @@ def test_minor_trivia():
     assert minor(ident, (), (), EXACT_INT) == 1
     with pytest.raises(FlowError):
         minor(ident, {1}, {1, 2}, EXACT_INT)
+    # I indexes the columns and J the rows, each checked against its count
+    wide = ((1, 2, 3),)
+    assert minor(wide, {3}, {1}, EXACT_INT) == 3
+    for I, J, message in (
+        ({0}, {1}, "column index 0 outside 1..3"),
+        ({4}, {1}, "column index 4 outside 1..3"),
+        ({1}, {2}, "row index 2 outside 1..1"),
+        ((1, 1), (1, 1), "repeated column index"),
+    ):
+        with pytest.raises(FlowError, match=message):
+            minor(wide, I, J, EXACT_INT)
+    with pytest.raises(FlowError, match="column index 1 outside 1..0"):
+        minor((), {1}, {1}, EXACT_INT)
+    with pytest.raises(FlowError, match="column index 2 outside 1..1"):
+        minor(((1, 2), (3,)), {2}, {1}, EXACT_INT)
+    with pytest.raises(CarrierMismatch):
+        minor(((1, "2"), (3, 4)), {1, 2}, {1, 2}, EXACT_INT)
 
 
 def test_minor_against_cofactor_oracle():
@@ -206,6 +227,32 @@ def test_minor_against_cofactor_oracle():
         mat = tuple(tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(k))
         ours = minor(mat, range(1, k + 1), range(1, k + 1), EXACT_INT)
         assert ours == det_cofactor([list(r) for r in mat])
+
+
+def _poly_entries():
+    x, y = Poly.variable("x"), Poly.variable("y")
+    monomials = (Poly.const(1), x, y, x * y, x * x)
+    return st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(monomials)), max_size=3).map(
+        lambda terms: sum((Poly.const(c) * m for c, m in terms), Poly())
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minor_matches_leibniz(data):
+    # random submatrices, non-contiguous index sets and k = 0 included, over
+    # a ring of numbers and one of polynomials
+    carrier = data.draw(st.sampled_from((EXACT_INT, POLY_INT)))
+    entries = st.integers(-4, 4) if carrier is EXACT_INT else _poly_entries()
+    k = data.draw(st.integers(0, 6))
+    n_rows, n_cols = data.draw(st.integers(max(k, 1), 8)), data.draw(st.integers(max(k, 1), 8))
+    matrix = tuple(tuple(data.draw(entries) for _ in range(n_cols)) for _ in range(n_rows))
+    I = data.draw(st.sets(st.integers(1, n_cols), min_size=k, max_size=k))
+    J = data.draw(st.sets(st.integers(1, n_rows), min_size=k, max_size=k))
+    sub = [[matrix[j - 1][i - 1] for i in sorted(I)] for j in sorted(J)]
+    ours = minor(matrix, I, J, carrier)
+    assert ours == det_leibniz(sub, carrier)
+    assert type(ours) is type(carrier.one)
 
 
 def test_lindstrom_equivalence():

@@ -263,19 +263,29 @@ def test_cycle_and_bad_indices():
             f(I)
 
 
-def _on_some_flow(net, I):
-    used = set()
-    for flow in enumerate_flag_flows(net, I):
-        for path in flow.paths:
-            used.update(net.origin_of(v) or v for v in path)
-    return used
+def _on_some_flow(net, flows):
+    return {net.origin_of(v) or v for flow in flows for path in flow.paths for v in path}
+
+
+def _with_dead_ends(net):
+    """``net`` plus a dead end after source 2 and a vertex with no way in
+    before sink 1: no path from a source to a sink uses either."""
+    head, tail = net.sources[1], net.sinks[0]
+    return PlanarNetwork(
+        vertices=net.vertices + ("x", "y"),
+        edges=net.edges + ((head, "x"), ("y", tail)),
+        sources=net.sources,
+        sinks=net.sinks,
+        planarity="declared",
+    )
 
 
 @pytest.mark.parametrize(
     "net",
     [build_half_grid(5), vertex_split(build_half_grid(4))]
     + [random_grid_network(4, 2, random.Random(s)) for s in range(3)]
-    + GADGETS[-3:],
+    + GADGETS[-3:]
+    + [_with_dead_ends(build_half_grid(3))],
     ids=lambda net: f"{len(net.vertices)}v",
 )
 def test_bad_weight_raises_only_on_a_flow(net):
@@ -286,7 +296,7 @@ def test_bad_weight_raises_only_on_a_flow(net):
     for size in range(len(net.sources) + 1):
         for I in combinations(range(1, len(net.sources) + 1), size):
             expected = evaluate_fgf(net, ones, I, COUNTING_NAT)
-            used = _on_some_flow(net, I)
+            used = _on_some_flow(net, enumerate_flag_flows(net, I))
             for v in keys:
                 missing = {u: 1 for u in keys if u != v}
                 foreign = dict(ones, **{v: -1})
@@ -298,6 +308,25 @@ def test_bad_weight_raises_only_on_a_flow(net):
                 else:
                     assert evaluate_fgf(net, missing, I, COUNTING_NAT) == expected
                     assert evaluate_fgf(net, foreign, I, COUNTING_NAT) == expected
+    # the path matrix raises the sweep's error exactly when some source ->
+    # sink path pays the bad weight
+    n = len(net.sources)
+    if len(net.sinks) != n:
+        return
+    matrix = lindstrom_matrix(net, ones, EXACT_INT)
+    pairs = [((i,), (j,)) for i in range(1, n + 1) for j in range(1, n + 1)]
+    used = _on_some_flow(net, [flow for I, J in pairs for flow in enumerate_flows(net, I, J)])
+    for v in keys:
+        missing = {u: 1 for u in keys if u != v}
+        foreign = dict(ones, **{v: "1"})
+        if v in used:
+            with pytest.raises(FlowError, match=f"^weighting is missing vertex {v!r}$"):
+                lindstrom_matrix(net, missing, EXACT_INT)
+            with pytest.raises(CarrierMismatch, match="^'1' is not an element of int$"):
+                lindstrom_matrix(net, foreign, EXACT_INT)
+        else:
+            assert lindstrom_matrix(net, missing, EXACT_INT) == matrix
+            assert lindstrom_matrix(net, foreign, EXACT_INT) == matrix
 
 
 def test_terminals_shared_between_paths():
