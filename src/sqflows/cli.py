@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for success or a passing check (also when the reader closes
-stdout early), 1 for a failing check or a found violation, 2 for input errors
-and for output that cannot be written.
+stdout early), 1 for a failing check or a found violation, 2 for input errors,
+for output that cannot be written and for running out of memory.  The
+listings of ``flows`` and ``laurent --format json`` are written a block at a
+time, never held as one string.
 Identical argv and seed give byte-identical output; --format json wraps every
 report in {"schema": 1, "command", "ok", "data"}.
 """
@@ -90,6 +92,45 @@ def _emit(args, command: str, ok: bool, lines: list[str], data: dict) -> None:
     else:
         for line in lines:
             print(line)
+
+
+# Items per write of a streamed listing.
+_BLOCK = 4096
+
+
+def _write(head: str, tail: str, items, sep: str) -> None:
+    """Write ``head``, the ``items`` joined by ``sep``, and ``tail`` to stdout,
+    _BLOCK items per write, so a listing is never held whole."""
+    write = sys.stdout.write
+    write(head)
+    lead, block = "", []
+    for item in items:
+        block.append(item)
+        if len(block) == _BLOCK:
+            write(lead + sep.join(block))
+            lead, block = sep, []
+    if block:
+        write(lead + sep.join(block))
+    write(tail)
+
+
+def _envelope(command: str, data: dict, key: str) -> tuple[str, str]:
+    """The JSON report that _emit writes for ``command``, split around the
+    items of the array ``data[key]``: the text up to its ``[`` and from its
+    ``]`` on, the closing newline included."""
+    payload = {"schema": 1, "command": command, "ok": True, "data": {**data, key: []}}
+    marker = json.dumps(key) + ": ["
+    head, _, tail = json.dumps(payload, sort_keys=True).partition(marker + "]")
+    return head + marker, "]" + tail + "\n"
+
+
+class _Parts(dict):
+    """(interval, degree) -> its JSON text, each rendered once."""
+
+    def __missing__(self, part):
+        (lo, hi), deg = part
+        text = self[part] = f"[{lo}, {hi}, {deg}]"
+        return text
 
 
 def _arc_text(matching: mt.NestedMatching) -> str:
@@ -249,13 +290,12 @@ def cmd_gen_family(args) -> int:
 
 def cmd_laurent(args) -> int:
     expression = laurmod.laurent_expand(args.n, _int_list(args.a_set))
-    _emit(
-        args,
-        "laurent",
-        True,
-        [expression.render()] if args.format == "text" else [],
-        {"monomials": [[list(iv) + [deg] for iv, deg in mono] for mono in expression.monomials]},
-    )
+    if args.format == "text":
+        _emit(args, "laurent", True, [expression.render()], {})
+        return 0
+    parts = _Parts()
+    items = ("[" + ", ".join(map(parts.__getitem__, mono)) + "]" for mono in expression.monomials)
+    _write(*_envelope("laurent", {}, "monomials"), items, ", ")
     return 0
 
 
@@ -300,8 +340,15 @@ def cmd_flows(args) -> int:
     net = _load_network(args.network)
     I = _int_list(args.i_set)
     J = None if args.j_set is None else _int_list(args.j_set)
-    lines = [";".join(paths) for paths in list_flows(net, I, J, " ".join)]
-    _emit(args, "flows", True, lines, {"count": len(lines), "flows": lines})
+    if args.format == "text":
+        listing = list_flows(net, I, J, " ".join)
+        _write("", "\n" if listing.count() else "", map(";".join, listing), "\n")
+        return 0
+    # A label escapes per character, so the escaped labels join to the
+    # escaped line.
+    listing = list_flows(net, I, J, lambda names: json.dumps(" ".join(names))[1:-1])
+    items = ('"' + ";".join(paths) + '"' for paths in listing)
+    _write(*_envelope("flows", {"count": listing.count()}, "flows"), items, ", ")
     return 0
 
 
@@ -435,6 +482,12 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # Reported only here, after the except clause has let go of the frames
+    # that ran out of memory.
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -4,16 +4,18 @@ f(I) comes from a frontier sweep over the vertices in topological order (the
 transfer-matrix method): it sums weight products over labelled partial path
 systems without listing them, using only the carrier's addition and
 multiplication.  Enumeration lists the flows themselves, for the commands and
-modules that output every flow (``flows``, double flows, Laurent expansion).  It builds a DAG of path choices once per listing: node (k, key)
-holds the ways path k can continue a system whose first k paths took the
-positions ``key``, counted only where paths k, k+1, ... may still go, so a
-path is found and labelled once per distinct key instead of once per flow;
-then it walks the DAG in order.  Both phases keep their own stacks, so
-neither path length nor path count is bounded by the recursion limit.  Both
-engines run on the network's compiled form (``PlanarNetwork.form``) and
-share one terminal rule.  Planarity
-plus the boundary order of the terminals force the k-th smallest chosen
-source to feed the k-th chosen sink, so both engines use only that pairing.
+modules that output every flow (``flows``, double flows, Laurent expansion).
+It builds a DAG of path choices once per listing: node (k, key) holds the
+ways path k can continue a system whose first k paths took the positions
+``key``, counted only where paths k, k+1, ... may still go.  Each node reads
+its paths off a trie of path k's paths that grows on first visit, so a path
+is found once and labelled once per listing, however many nodes and flows
+share it; then the DAG is counted or walked in order.  Every phase keeps its
+own stack, so neither path length nor path count is bounded by the
+recursion limit.  Both engines run on the network's compiled form
+(``PlanarNetwork.form``) and share one terminal rule.  Planarity plus the
+boundary order of the terminals force the k-th smallest chosen source to
+feed the k-th chosen sink, so both engines use only that pairing.
 
 Over a ring, two helpers carry the Lindström–Gessel–Viennot lemma: a
 backward pass from a sink gives a path-matrix column (:func:`_column`), and a
@@ -33,6 +35,9 @@ from .semiring import STAR, Carrier, CarrierMismatch, SemiringError, Starred
 
 class FlowError(ValueError):
     pass
+
+
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -83,69 +88,99 @@ def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     return starts, ends, [ancestors[t] & ~(bits & ~(1 << t)) for t in ends]
 
 
-def _paths(succ, start: int, end: int, allowed: int, taken: int, keep: int) -> list:
-    """Every path start -> end through positions in ``allowed`` and not in
-    ``taken``, in ``succ`` order, each as (its last frame, the positions
-    taken after it, masked by ``keep``).  A frame is (position, the frame of
-    the previous position), so a step costs no copy of the path so far."""
+def _trie_paths(root: list, succ, end: int, allowed: int, key: int, keep: int) -> list:
+    """Every path of the trie under ``root`` that reaches ``end`` and avoids
+    the positions in ``key``, in ``succ`` order, each as (its leaf, the
+    positions taken after it, masked by ``keep``).
+
+    A trie node is [position, parent node, kids], kids None until the first
+    visit; then an inner node lists its successors inside ``allowed``, last
+    first, and the leaf at ``end`` holds [the path's position mask, its label
+    or _ABSENT until :func:`_label` runs].  Only leaves hold a mask, so a
+    long path costs no mask per step.  The walk goes on down the first free
+    child and stacks the others."""
     found = []
-    stack = [((start, None), taken | 1 << start)]
+    stack = [root]
+    push = stack.append
     while stack:
-        frame, taken = stack.pop()
-        p = frame[0]
-        if p == end:
-            found.append((frame, taken & keep))
-            continue
-        free = allowed & ~taken
-        for u in reversed(succ[p]):
-            if free >> u & 1:
-                stack.append(((u, frame), taken | 1 << u))
+        node = stack.pop()
+        while True:
+            p, kids = node[0], node[2]
+            if p == end:
+                if kids is None:
+                    mask, frame = 0, node
+                    while frame is not None:
+                        mask |= 1 << frame[0]
+                        frame = frame[1]
+                    kids = node[2] = [mask, _ABSENT]
+                found.append((node, (key | kids[0]) & keep))
+                break
+            if kids is None:
+                kids = node[2] = [[u, node, None] for u in reversed(succ[p]) if allowed >> u & 1]
+            down = None
+            for child in kids:
+                if not key >> child[0] & 1:
+                    if down is not None:
+                        push(down)
+                    down = child
+            if down is None:
+                break
+            node = down
     return found
 
 
-def _names(frame, order) -> tuple[str, ...]:
-    """The vertex names of the path that ends in ``frame``, first to last."""
+def _names(node, order) -> tuple[str, ...]:
+    """The vertex names of the path that ends in trie ``node``, first to
+    last."""
     names = []
-    while frame is not None:
-        p, frame = frame
-        names.append(order[p])
+    while node is not None:
+        names.append(order[node[0]])
+        node = node[1]
     names.reverse()
     return tuple(names)
 
 
-def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label):
-    """All disjoint path systems pairing srcs[k] -> dsts[k], in lexicographic
-    order of the vertex sequences, each as the tuple of ``label(names)`` over
-    its paths, ``names`` the vertex names of one path.
+def _label(leaf: list, label, order):
+    """``label`` of the path that ends in ``leaf``, run on its first use."""
+    data = leaf[2]
+    if data[1] is _ABSENT:
+        data[1] = label(_names(leaf, order))
+    return data[1]
+
+
+def _dag(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label):
+    """The DAG of the disjoint path systems pairing srcs[k] -> dsts[k], or
+    None when there is none: a list whose k-th dict maps ``key`` to the live
+    choices of path k at node (k, key), as (label, next key), and whose last
+    level is the finished system {0: True}.
 
     ``later[k]`` holds every position that paths k, k+1, ... may visit,
     their sources included, so the ways to finish a system whose first k
     paths took the positions ``taken`` depend only on k and
-    ``key = taken & later[k]``; no planarity is assumed.  A DAG with one node
-    per such (k, key) is built first, each node listing the paths k can take
-    from it that lead to a complete system, with their labels and the key
-    they lead to; then the DAG is walked in order.  So each path is found and
-    labelled once per distinct key, not once per flow (the frontier-based
-    search of ZDD path enumeration).  Both phases run on explicit stacks,
-    and the DAG lives only for the call."""
+    ``key = taken & later[k]``; no planarity is assumed.  Each node is
+    expanded by a walk of path k's trie (:func:`_trie_paths`) that skips the
+    positions in ``key``, and finished once the nodes it leads to are, keeping
+    the choices that lead to a complete system.  The tries grow on first
+    visit and share every prefix, so each distinct path is found once and
+    labelled once, on its first live choice (the frontier-based search of
+    SIMPATH, Knuth, TAOCP 4A, 7.1.4).  Everything runs on explicit stacks
+    and lives only for the call."""
     plan = _plan(net, srcs, dsts)
     if plan is None:
-        return
+        return None
     starts, ends, allowed = plan
     m = len(starts)
-    if not m:
-        yield ()
-        return
     order, succ = net.order, net.form.succ
     later = [0] * (m + 1)
     for k in reversed(range(m)):
         later[k] = later[k + 1] | allowed[k] | 1 << starts[k]
+    tries = [[s, None, None] for s in starts]
 
-    # nodes[k][key]: the live choices of path k at (k, key), as (label, next
-    # key); a node with none is dead.  Level m is the finished system.
+    # nodes[k][key]: the live choices of path k at (k, key); a node with none
+    # is dead.
     nodes = [{} for _ in range(m)] + [{0: True}]
     found = {}  # (k, key) -> paths of a node expanded but not yet finished
-    stack = [(0, 0)]
+    stack = [(0, 0)] if m else []
     while stack:
         k, key = stack[-1]
         if key in nodes[k]:
@@ -153,7 +188,7 @@ def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], l
             continue
         paths = found.get((k, key))
         if paths is None:
-            paths = found[k, key] = _paths(succ, starts[k], ends[k], allowed[k], key, later[k + 1])
+            paths = found[k, key] = _trie_paths(tries[k], succ, ends[k], allowed[k], key, later[k + 1])
             todo = [(k + 1, after) for _, after in paths if after not in nodes[k + 1]]
             if todo:
                 stack.extend(todo)
@@ -161,9 +196,21 @@ def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], l
         del found[k, key]
         stack.pop()
         nodes[k][key] = tuple(
-            (label(_names(frame, order)), after) for frame, after in paths if nodes[k + 1][after]
+            (_label(leaf, label, order), after) for leaf, after in paths if nodes[k + 1][after]
         )
+    return nodes
 
+
+def _systems(nodes):
+    """The systems of a :func:`_dag`, in lexicographic order of the vertex
+    sequences, each as the tuple of its paths' labels: a walk on an explicit
+    stack."""
+    if nodes is None:
+        return
+    m = len(nodes) - 1
+    if not m:
+        yield ()
+        return
     walk = [(iter(nodes[0][0]), ())]
     while walk:
         choices, done = walk[-1]
@@ -180,6 +227,30 @@ def _systems(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], l
             walk.append((iter(nodes[k][choice[1]]), done + (choice[0],)))
 
 
+class FlowListing:
+    """The flows of one listing, from the DAG built when it was made:
+    iterating walks the DAG in order, and :meth:`count` sums it without a
+    walk."""
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes):
+        self._nodes = nodes
+
+    def __iter__(self):
+        return _systems(self._nodes)
+
+    def count(self) -> int:
+        """The number of flows: one pass over the levels, last to first, that
+        sums the counts of each node's successors."""
+        if self._nodes is None:
+            return 0
+        counts = {0: 1}
+        for level in reversed(self._nodes[:-1]):
+            counts = {key: sum(counts[after] for _, after in choices) for key, choices in level.items()}
+        return counts[0]
+
+
 def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
     out = tuple(sorted(ids))
     if len(set(out)) != len(out):
@@ -191,30 +262,31 @@ def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _listing(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label):
-    """Checked (I, J) and the iterator of their flows, as :func:`list_flows`
+    """Checked (I, J) and the listing of their flows, as :func:`list_flows`
     gives it; J None stands for the first |I| sinks, the flag flows, of
     which there are none when I outnumbers the sinks."""
     I = _check_indices("source", I, len(net.sources))
     if J is None:
         J = tuple(range(1, len(I) + 1))
         if len(I) > len(net.sinks):
-            return I, J, iter(())
+            return I, J, FlowListing(None)
     else:
         J = _check_indices("sink", J, len(net.sinks))
         if len(I) != len(J):
             raise FlowError("index sets must have equal size")
     srcs = tuple(net.sources[i - 1] for i in I)
     dsts = tuple(net.sinks[j - 1] for j in J)
-    return I, J, _systems(net, srcs, dsts, label)
+    return I, J, FlowListing(_dag(net, srcs, dsts, label))
 
 
-def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label):
-    """Iterator over the (I, J)-flows, or the flag flows for I when J is None,
-    in the order of :func:`enumerate_flows`; each flow is the tuple of
-    ``label(names)`` over its paths, ``names`` the tuple of a path's vertex
-    names.  ``label`` runs once per distinct path choice, not once per flow,
-    so it may be a costly map (a rendered line, a packed degree vector).
-    Index sets are checked at the call."""
+def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label) -> FlowListing:
+    """The (I, J)-flows, or the flag flows for I when J is None, in the order
+    of :func:`enumerate_flows`; each flow is the tuple of ``label(names)``
+    over its paths, ``names`` the tuple of a path's vertex names.  ``label``
+    runs once per distinct path of the listing, not once per flow, so it may
+    be a costly map (a rendered line, a packed degree vector).  Index sets are
+    checked and the DAG is built at the call; iterating the listing walks it,
+    and its ``count()`` needs no walk."""
     return _listing(net, I, J, label)[2]
 
 
@@ -309,9 +381,6 @@ def _guarded(paid: tuple, *ops):
         return guarded
 
     return [guard(op) for op in ops]
-
-
-_ABSENT = object()
 
 
 def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from sqflows.cli import main
+from sqflows.flows import list_flows
+from sqflows.laurent import laurent_expand
 from sqflows.matchings import parse_collection_pair
-from sqflows.network import parse_network, validate
+from sqflows.network import PlanarNetwork, build_half_grid, parse_network, validate, write_network
 
 BALANCED = "2 1\n1 3\n--\n1 2\n2 3\n"
 UNBALANCED = "2 1\n1 2\n--\n1 3\n"
@@ -383,36 +385,50 @@ def _cli_env():
 
 def test_closed_stdout_ends_cleanly():
     # a reader that stops early, like `| head -c 50`, is a normal end: exit 0
-    # and nothing on stderr, neither a traceback nor a failed flush at exit
+    # and nothing on stderr, neither a traceback nor a failed flush at exit,
+    # for each streamed listing
     env = _cli_env()
-    argv = ["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sqflows.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    head = proc.stdout.read(50)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 0
-    assert head == b"1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3;7,1 6,1 6,2 5,"
-    assert err == b""
+    cases = [
+        (["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11"],
+         b"1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3;7,1 6,1 6,2 5,"),
+        (["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11", "--format", "json"],
+         b'{"command": "flows", "data": {"count": 32768, "flo'),
+        (["laurent", "-n", "10", "-A", "1,3,5,7,10", "--format", "json"],
+         b'{"command": "laurent", "data": {"monomials": [[[1,'),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sqflows.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert head == expected
+        assert err == b""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize(
     "argv",
-    [["--network", "halfgrid:3", "-I", "1"], ["--network", "halfgrid:12", "-I", "1,3,5,7,9,11"]],
-    ids=["final-flush", "while-printing"],
+    [
+        ["flows", "--network", "halfgrid:3", "-I", "1"],
+        ["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11"],
+        ["flows", "--network", "halfgrid:12", "-I", "1,3,5,7,9,11", "--format", "json"],
+        ["laurent", "-n", "10", "-A", "1,3,5,7,10", "--format", "json"],
+    ],
+    ids=["final-flush", "while-printing", "flows-json", "laurent-json"],
 )
 def test_unwritable_stdout_is_an_input_error(argv):
     # a write that fails (no space left on the device) ends with exit 2 and
     # one error line, whether it fails at the final flush or while printing
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "sqflows.cli", "flows", *argv],
+            [sys.executable, "-m", "sqflows.cli", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             env=_cli_env(),
@@ -421,3 +437,93 @@ def test_unwritable_stdout_is_an_input_error(argv):
     assert proc.returncode == 2
     (line,) = proc.stderr.decode().splitlines()
     assert line.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_listing_index_error_writes_nothing(fmt, capsys):
+    # the listing is checked and its DAG built before the first write
+    code, out, err = run(capsys, ["flows", "--network", "halfgrid:5", "-I", "1,9", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == "error: source index 9 outside 1..5\n"
+
+
+def test_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    # running out of memory mid-listing ends with exit 2 and one error line,
+    # not a traceback and exit 1
+    class Exhausted:
+        def count(self):
+            return 2
+
+        def __iter__(self):
+            yield ("a b",)
+            raise MemoryError
+
+    monkeypatch.setattr("sqflows.cli.list_flows", lambda *args: Exhausted())
+    for fmt in ("text", "json"):
+        code, _, err = run(capsys, ["flows", "--network", "halfgrid:3", "-I", "1", "--format", fmt])
+        assert (code, err) == (2, "error: out of memory\n")
+
+
+ODD_NAMES = ['"', "\\", "\u00e9", "\U0001d50f", "\x01"]
+
+
+def _flows_payload(net, I, J):
+    lines = [";".join(flow) for flow in list_flows(net, I, J, " ".join)]
+    return {"schema": 1, "command": "flows", "ok": True, "data": {"count": len(lines), "flows": lines}}
+
+
+def test_flows_json_matches_json_dumps(tmp_path, capsys):
+    # vertex names that JSON escapes: a quote, a backslash, non-ASCII letters
+    # inside and outside the BMP, and a control character
+    grid = build_half_grid(4)
+    rename = {v: f"{ODD_NAMES[k % len(ODD_NAMES)]}{v}{ODD_NAMES[(k + 2) % len(ODD_NAMES)]}"
+              for k, v in enumerate(grid.vertices)}
+    net = PlanarNetwork(
+        tuple(rename[v] for v in grid.vertices),
+        tuple((rename[a], rename[b]) for a, b in grid.edges),
+        tuple(rename[v] for v in grid.sources),
+        tuple(rename[v] for v in grid.sinks),
+        planarity="declared",
+    )
+    path = tmp_path / "odd.net"
+    path.write_text(write_network(net), encoding="utf-8")
+    assert parse_network(path.read_text(encoding="utf-8")) == net and not validate(net)
+    cases = [((1, 3), None), ((2, 3, 4), None), ((1, 2), (2, 4)), ((1, 2, 3), (1, 2, 4)),
+             ((), None), ((4,), (1,)), ((1, 2), (3, 4))]
+    for I, J in cases:
+        argv = ["flows", "--network", str(path), "-I", ",".join(map(str, I)), "--format", "json"]
+        if J is not None:
+            argv += ["-J", ",".join(map(str, J))]
+        code, out, _ = run(capsys, argv)
+        payload = _flows_payload(net, I, J)
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+        assert json.loads(out) == payload
+    # the (1,2) -> (3,4) listing is empty
+    assert json.loads(out)["data"] == {"count": 0, "flows": []}
+
+
+def test_flows_json_with_more_sources_than_sinks(tmp_path, capsys):
+    # three sources, two sinks: no flag flow for three sources
+    path = tmp_path / "wide.net"
+    path.write_text("vertex a\nvertex b\nvertex c\nvertex x\nvertex y\n"
+                    "edge a x\nedge b x\nedge b y\nedge c y\nsources a b c\nsinks x y\n")
+    code, out, _ = run(capsys, ["flows", "--network", str(path), "-I", "1,2,3", "--format", "json"])
+    payload = {"schema": 1, "command": "flows", "ok": True, "data": {"count": 0, "flows": []}}
+    assert (code, out) == (0, json.dumps(payload, sort_keys=True) + "\n")
+    code, out, _ = run(capsys, ["flows", "--network", str(path), "-I", "1,2,3"])
+    assert (code, out) == (0, "")
+
+
+def test_laurent_json_matches_json_dumps(capsys):
+    # every nonempty A of [n], n <= 6, against the payload as lists of lists
+    for n in range(1, 7):
+        for bits in range(1, 1 << n):
+            A = [i + 1 for i in range(n) if bits >> i & 1]
+            argv = ["laurent", "-n", str(n), "-A", ",".join(map(str, A)), "--format", "json"]
+            code, out, _ = run(capsys, argv)
+            monomials = [[list(iv) + [deg] for iv, deg in mono] for mono in laurent_expand(n, A).monomials]
+            payload = {"schema": 1, "command": "laurent", "ok": True, "data": {"monomials": monomials}}
+            assert code == 0
+            assert out == json.dumps(payload, sort_keys=True) + "\n"
+            assert json.loads(out) == payload

@@ -335,23 +335,31 @@ def test_long_path_is_listed():
 
 
 def test_list_flows_labels_each_path_choice_once():
-    # labels agree with the listed Flow objects, and a path shared by many
-    # flows is labelled once per distinct set of positions it leaves taken
+    # labels agree with the listed Flow objects, the count agrees with the
+    # walk, and each path of a listing reaches the label once, however many
+    # flows share it
     rng = random.Random(16)
     for net in [build_half_grid(8)] + [random_grid_network(5, 4, rng) for _ in range(6)]:
         n = len(net.sources)
         for I in [(1, 3, 5, 7)[: (n + 1) // 2], tuple(range(1, n + 1, 3))]:
             flows = enumerate_flag_flows(net, I)
-            assert list(list_flows(net, I, None, " ".join)) == [
-                tuple(" ".join(path) for path in flow.paths) for flow in flows
-            ]
+            calls = []
+            listing = list_flows(net, I, None, lambda names: calls.append(names) or " ".join(names))
+            assert list(listing) == [tuple(" ".join(path) for path in flow.paths) for flow in flows]
+            assert listing.count() == len(flows)
+            assert sorted(calls) == sorted({path for flow in flows for path in flow.paths})
             J = tuple(range(2, len(I) + 2)) if len(I) < len(net.sinks) else tuple(range(1, len(I) + 1))
-            assert list(list_flows(net, I, J, tuple)) == [flow.paths for flow in enumerate_flows(net, I, J)]
+            listing = list_flows(net, I, J, tuple)
+            assert list(listing) == [flow.paths for flow in enumerate_flows(net, I, J)]
+            assert listing.count() == len(list(listing))
     g = build_half_grid(8)
     calls = []
     flows = list(list_flows(g, (1, 3, 5, 7), None, calls.append))
-    # 64 flows of four paths each, from fewer path choices than flows
-    assert len(flows) == 64 and len(calls) < len(flows)
+    # 64 flows of four paths each, from fewer paths than flows
+    assert len(flows) == 64 and len(calls) == len(set(calls)) < len(flows)
+    for I, J, count in [((), None, 1), ((1,), (1,), 1), ((1, 2), (2, 3), 0)]:
+        listing = list_flows(g, I, J, tuple)
+        assert listing.count() == len(list(listing)) == count
 
 
 def test_chain_of_24000_vertices_lists_its_flow():
