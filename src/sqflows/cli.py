@@ -2,9 +2,9 @@
 
 Exit codes: 0 for success or a passing check (also when the reader closes
 stdout early), 1 for a failing check or a found violation, 2 for input errors,
-for output that cannot be written and for running out of memory.  The
-listings of ``flows`` and ``laurent --format json`` are written a block at a
-time, never held as one string.
+for output that cannot be written and for running out of memory.  Every
+report goes to stdout through one writer, ``_emit``, a block of lines or
+items at a time, so a listing is never held as one string.
 Identical argv and seed give byte-identical output; --format json wraps every
 report in {"schema": 1, "command", "ok", "data"}.
 """
@@ -85,51 +85,53 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise CliError(f"bad integer list {text!r}") from None
 
 
-def _emit(args, command: str, ok: bool, lines: list[str], data: dict) -> None:
-    if args.format == "json":
-        payload = {"schema": 1, "command": command, "ok": ok, "data": data}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-# Items per write of a streamed listing.
+# Entries per write: a report is written _BLOCK lines or items at a time.
 _BLOCK = 4096
 
 
-def _write(head: str, tail: str, items, sep: str) -> None:
-    """Write ``head``, the ``items`` joined by ``sep``, and ``tail`` to stdout,
-    _BLOCK items per write, so a listing is never held whole."""
+def _emit(args, command: str, ok: bool, lines, data: dict, key: str | None = None, items=()) -> None:
+    """Write the report of ``command`` to stdout, _BLOCK entries per write, so
+    a listing is never held whole.  Text is the ``lines``, each ended by a
+    newline.  JSON is {"schema": 1, "command", "ok", "data"}; with ``key``,
+    ``data[key]`` is the array of the pre-encoded JSON ``items``."""
+    if args.format == "text":
+        head, entries, sep, tail = "", lines, "\n", "\n"
+    else:
+        payload = {"schema": 1, "command": command, "ok": ok, "data": data}
+        if key is None:
+            head, entries, sep, tail = json.dumps(payload, sort_keys=True) + "\n", (), "", ""
+        else:
+            # split the envelope around the items: up to the array's "[" and
+            # from its "]" on
+            payload["data"] = {**data, key: []}
+            marker = json.dumps(key) + ": ["
+            head, _, tail = json.dumps(payload, sort_keys=True).partition(marker + "]")
+            head, entries, sep, tail = head + marker, items, ", ", "]" + tail + "\n"
     write = sys.stdout.write
     write(head)
     lead, block = "", []
-    for item in items:
-        block.append(item)
+    for entry in entries:
+        block.append(entry)
         if len(block) == _BLOCK:
             write(lead + sep.join(block))
             lead, block = sep, []
     if block:
         write(lead + sep.join(block))
-    write(tail)
-
-
-def _envelope(command: str, data: dict, key: str) -> tuple[str, str]:
-    """The JSON report that _emit writes for ``command``, split around the
-    items of the array ``data[key]``: the text up to its ``[`` and from its
-    ``]`` on, the closing newline included."""
-    payload = {"schema": 1, "command": command, "ok": True, "data": {**data, key: []}}
-    marker = json.dumps(key) + ": ["
-    head, _, tail = json.dumps(payload, sort_keys=True).partition(marker + "]")
-    return head + marker, "]" + tail + "\n"
+        lead = sep
+    if head or lead:
+        write(tail)
 
 
 class _Parts(dict):
-    """(interval, degree) -> its JSON text, each rendered once."""
+    """(interval, degree) -> its text in ``form``, each rendered once."""
+
+    def __init__(self, form: str):
+        super().__init__()
+        self.form = form
 
     def __missing__(self, part):
         (lo, hi), deg = part
-        text = self[part] = f"[{lo}, {hi}, {deg}]"
+        text = self[part] = self.form.format(lo, hi, deg)
         return text
 
 
@@ -289,13 +291,12 @@ def cmd_gen_family(args) -> int:
 
 
 def cmd_laurent(args) -> int:
-    expression = laurmod.laurent_expand(args.n, _int_list(args.a_set))
-    if args.format == "text":
-        _emit(args, "laurent", True, [expression.render()], {})
-        return 0
-    parts = _Parts()
-    items = ("[" + ", ".join(map(parts.__getitem__, mono)) + "]" for mono in expression.monomials)
-    _write(*_envelope("laurent", {}, "monomials"), items, ", ")
+    monomials = laurmod.laurent_expand(args.n, _int_list(args.a_set)).monomials
+    # only the generator of the chosen format runs
+    parts = _Parts("[{}, {}, {}]" if args.format == "json" else "f[{}..{}]^{}")
+    lines = (" ".join(map(parts.__getitem__, mono)) or "f[]^0" for mono in monomials)
+    items = ("[" + ", ".join(map(parts.__getitem__, mono)) + "]" for mono in monomials)
+    _emit(args, "laurent", True, lines, {}, "monomials", items)
     return 0
 
 
@@ -308,9 +309,8 @@ def cmd_lindstrom(args) -> int:
         weighting = _load_weights(args.weights, carrier)
     else:
         weighting = {v: carrier.one for v in net.vertices}
-    matrix = lindstrom_matrix(net, weighting, carrier)
-    lines = [" ".join(carrier.render(x) for x in row) for row in matrix]
-    _emit(args, "lindstrom", True, lines, {"matrix": [[carrier.render(x) for x in row] for row in matrix]})
+    matrix = [[carrier.render(x) for x in row] for row in lindstrom_matrix(net, weighting, carrier)]
+    _emit(args, "lindstrom", True, [" ".join(row) for row in matrix], {"matrix": matrix})
     return 0
 
 
@@ -340,15 +340,14 @@ def cmd_flows(args) -> int:
     net = _load_network(args.network)
     I = _int_list(args.i_set)
     J = None if args.j_set is None else _int_list(args.j_set)
-    if args.format == "text":
-        listing = list_flows(net, I, J, " ".join)
-        _write("", "\n" if listing.count() else "", map(";".join, listing), "\n")
-        return 0
-    # A label escapes per character, so the escaped labels join to the
+    json_out = args.format == "json"
+    # A JSON label escapes per character, so the escaped labels join to the
     # escaped line.
-    listing = list_flows(net, I, J, lambda names: json.dumps(" ".join(names))[1:-1])
+    label = (lambda names: json.dumps(" ".join(names))[1:-1]) if json_out else " ".join
+    listing = list_flows(net, I, J, label)
     items = ('"' + ";".join(paths) + '"' for paths in listing)
-    _write(*_envelope("flows", {"count": listing.count()}, "flows"), items, ", ")
+    data = {"count": listing.count()} if json_out else {}
+    _emit(args, "flows", True, map(";".join, listing), data, "flows", items)
     return 0
 
 

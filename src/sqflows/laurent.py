@@ -123,13 +123,6 @@ class LaurentExpression:
     def degrees(self) -> set[int]:
         return {deg for mono in self.monomials for _, deg in mono}
 
-    def render(self) -> str:
-        lines = []
-        for mono in self.monomials:
-            parts = [f"f[{lo}..{hi}]^{deg}" for (lo, hi), deg in mono] or ["f[]^0"]
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
 
 def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     """Expand f(A) on the half-grid as a sum of interval Laurent monomials:

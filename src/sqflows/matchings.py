@@ -61,9 +61,6 @@ class NestedMatching:
                     return False
         return True
 
-    def __str__(self):
-        return " ".join(f"({i},{j})" for i, j in self.arcs) or "(empty)"
-
 
 def is_feasible(matching: NestedMatching, a_set: Iterable[int]) -> bool:
     """All three feasibility conditions for A, with q inferred from the ambient."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sqflows.cli import main
+from sqflows.cli import build_parser, main
 from sqflows.flows import list_flows
 from sqflows.laurent import laurent_expand
 from sqflows.matchings import parse_collection_pair
@@ -318,6 +319,9 @@ SELF_LOOP = "vertex a\nvertex b\nedge a a\nedge a b\nsources a\nsinks b\n"
 P_BELOW_Q = "1 2\n1\n--\n2\n"
 Q_ZERO = "2 0\n1 2\n1 2\n--\n1 2\n"
 MALFORMED_POLY = "a \u00b7\nb x^\n"
+ONE_SOURCE_TWO_SINKS = "vertex a\nvertex b\nvertex c\nedge a b\nedge a c\nsources a\nsinks b c\n"
+# a vertex already named like the split copy of another
+PRIMED = "vertex a\nvertex a'\nvertex b\nedge a a'\nedge a' b\nsources a\nsinks b\n"
 
 
 @pytest.mark.parametrize(
@@ -359,6 +363,12 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
         (["lindstrom", "--network", "{dir}/ab.net", "--carrier", "polyint", "--weights", "{dir}/w.txt"],
          {"ab.net": "vertex a\nvertex b\nedge a b\nsources a\nsinks b\n", "w.txt": "a x\nb -x\n"},
          "malformed factor '-x' in term '-x'"),
+        (["lindstrom", "--network", "{dir}/fork.net"], {"fork.net": ONE_SOURCE_TWO_SINKS},
+         "path matrix needs equally many sources and sinks"),
+        (["enumerate-matchings", "-p", "2", "-q", "1", "-A", "1"], {}, "A must be a 2-subset of [3]"),
+        (["check-balance", "{dir}/pair.txt"], {"pair.txt": "2 1\n1 x\n--\n1 2\n"}, "bad subset line: '1 x'"),
+        (["doubleflow-audit", "--network", "{dir}/primed.net", "-I", "1", "-J", "1"], {"primed.net": PRIMED},
+         "vertex ids collide with split names"),
     ],
     ids=["halfgrid-size", "network-missing", "index-list", "too-few-sources",
          "weight-line", "weights-repeated", "weights-missing", "no-flag-flow",
@@ -368,7 +378,8 @@ MALFORMED_POLY = "a \u00b7\nb x^\n"
          "halfgrid-zero", "self-loop",
          "check-balance-p-below-q", "counterexample-p-below-q", "verify-p-below-q",
          "check-balance-q-zero", "counterexample-q-zero", "verify-q-zero",
-         "polyint-malformed-term", "polyint-signed-factor"],
+         "polyint-malformed-term", "polyint-signed-factor",
+         "lindstrom-unequal-terminals", "matchings-A-size", "pair-bad-line", "split-name-collision"],
 )
 def test_input_error_cases(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
@@ -527,3 +538,33 @@ def test_laurent_json_matches_json_dumps(capsys):
             assert code == 0
             assert out == json.dumps(payload, sort_keys=True) + "\n"
             assert json.loads(out) == payload
+
+
+def test_help_exits_zero(capsys):
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    for argv in (["--help"], *([name, "--help"] for name in commands)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_block_size_does_not_change_output(block, pair_files, monkeypatch, capsys):
+    # 8, 3 and 0 flows, so blocks of 3 end part-full, full and never start
+    good, bad = pair_files
+    commands = [
+        ["flows", "--network", "halfgrid:5", "-I", "1,3,5"],
+        ["flows", "--network", "halfgrid:5", "-I", "2,4", "-J", "1,3"],
+        ["flows", "--network", "halfgrid:5", "-I", "1,2", "-J", "3,4"],
+        ["laurent", "-n", "5", "-A", "1,3,4"],
+        ["laurent", "-n", "6", "-A", "1,3,5"],
+        ["check-balance", good],
+        ["check-balance", bad],
+        ["lindstrom", "--network", "halfgrid:4"],
+    ]
+    runs = [argv + extra for argv in commands for extra in ([], ["--format", "json"])]
+    expected = [run(capsys, argv) for argv in runs]
+    monkeypatch.setattr("sqflows.cli._BLOCK", block)
+    assert [run(capsys, argv) for argv in runs] == expected

@@ -82,11 +82,13 @@ CASES = [
     "doubleflow-audit --network halfgrid:6 -I 1,3,5 -J 2,4,6 --phi 3 --phi-prime 1 --format json",
     "laurent -n 5 -A 1,3,4",
     "laurent -n 5 -A 2,4 --format json",
-    # large listings: 32 768 flag flows, 18 522 (I,J)-flows, 2 520 monomials
+    # large listings: 32 768 flag flows, 18 522 (I,J)-flows, 2 520 and
+    # 32 768 monomials (the last one eight blocks of the writer)
     "flows --network halfgrid:12 -I 1,3,5,7,9,11",
     "flows --network halfgrid:12 -I 1,3,5,7,9,11 --format json",
     "flows --network halfgrid:11 -I 1,2,4,8,10,11 -J 1,2,3,6,7,10",
     "laurent -n 10 -A 1,3,5,7,10 --format json",
+    "laurent -n 11 -A 1,3,5,7,9,11",
     "lindstrom --network halfgrid:3 --weights bad.w",
     "flows --network crossed.net -I 1,2",
     "lindstrom --network crossed.net",
@@ -146,6 +148,7 @@ EXPECTED = {
     'flows --network halfgrid:12 -I 1,3,5,7,9,11 --format json': (0, 'sha256:bc981e342c6786ce3cae0a7f96fd71a02b8cdc139a929dbe7a661fca7f74d11c'),
     'flows --network halfgrid:11 -I 1,2,4,8,10,11 -J 1,2,3,6,7,10': (0, 'sha256:0277987db0f7a0aa749a0cba4fe541eea25278b382a4bbb071a485c4c371b5ef'),
     'laurent -n 10 -A 1,3,5,7,10 --format json': (0, 'sha256:94e3665dd5e55cd1316ab94d0cc42f78b79fa686f87542fa2344e55fe7dca56d'),
+    'laurent -n 11 -A 1,3,5,7,9,11': (0, 'sha256:e167e8b37a854ce2e04e42ca7da92ab43a30f4d00bf8f8bf2d5e980eb63c268a'),
     'lindstrom --network halfgrid:3 --weights bad.w': (2, ''),
     'flows --network crossed.net -I 1,2': (2, ''),
     'lindstrom --network crossed.net': (2, ''),

@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 from _brute import naive_laurent
 
+from sqflows.cli import main
 from sqflows.flows import enumerate_flag_flows, evaluate_fgf
 from sqflows.laurent import (
     LaurentError,
+    LaurentExpression,
     interval_flow,
     intervals,
     intervals_of,
@@ -19,6 +21,7 @@ from sqflows.laurent import (
 from sqflows.network import build_half_grid
 from sqflows.relations import random_weighting
 from sqflows.semiring import (
+    COUNTING_NAT,
     POSITIVE_RATIONAL,
     SemiringError,
     TROPICAL_RATIONAL,
@@ -237,7 +240,16 @@ def test_reconstruct_wide_span():
     assert reconstruct_from_intervals(vals, {1, 3, 200}, 200, POSITIVE_RATIONAL) == 39203
 
 
-def test_render_format():
-    expr = laurent_expand(3, {1, 3})
-    text = expr.render()
-    assert "f[1..1]^1 f[2..2]^-1 f[2..3]^1" in text.splitlines()
+def test_evaluate_needs_division_and_a_monomial():
+    vals = {iv: Fraction(k + 1) for k, iv in enumerate(intervals(3))}
+    assert laurent_expand(3, {1, 3}).evaluate(vals, POSITIVE_RATIONAL) == Fraction(17, 3)
+    with pytest.raises(SemiringError, match=r"^nat has no division$"):
+        laurent_expand(3, {1, 3}).evaluate(vals, COUNTING_NAT)
+    with pytest.raises(LaurentError, match=r"^empty expression$"):
+        LaurentExpression(()).evaluate(vals, POSITIVE_RATIONAL)
+
+
+def test_render_format(capsys):
+    # the CLI's text form of a monomial: f[lo..hi]^deg per interval
+    assert main(["laurent", "-n", "3", "-A", "1,3"]) == 0
+    assert "f[1..1]^1 f[2..2]^-1 f[2..3]^1" in capsys.readouterr().out.splitlines()

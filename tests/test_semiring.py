@@ -112,6 +112,25 @@ def test_nat_scale_zero_needs_identity():
         POSITIVE_RATIONAL.nat_scale(0, Fraction(1))
     with pytest.raises(SemiringError):
         TROPICAL_INT.nat_scale(0, 3)
+    with pytest.raises(SemiringError, match=r"^nat_scale needs an integer k >= 0$"):
+        COUNTING_NAT.nat_scale(-1, 5)
+
+
+def test_poly_with_int_operands():
+    x = Poly.variable("x")
+    assert x + 2 == Poly.const(2) + x
+    assert render_poly(x + 2) == "2 + x"
+    assert 3 * x == Poly.const(3) * x
+    assert render_poly(3 * x) == "3·x"
+
+
+def test_poly_evaluate_edge_cases():
+    # the zero polynomial is the carrier's zero, which posrat lacks
+    assert Poly().evaluate({}, EXACT_INT) == 0
+    with pytest.raises(SemiringError, match=r"^zero polynomial has no image in posrat$"):
+        Poly().evaluate({}, POSITIVE_RATIONAL)
+    # a negative coefficient is a negated scale
+    assert (Poly.const(-3) * Poly.variable("x") + 1).evaluate({"x": 2}, EXACT_INT) == -5
 
 
 def test_carrier_mismatch():
@@ -130,6 +149,8 @@ def test_division_unsupported():
         COUNTING_NAT.div(4, 2)
     with pytest.raises(SemiringError):
         POLY_NAT.div(Poly.variable("x"), Poly.variable("x"))
+    with pytest.raises(SemiringError, match=r"^nat has no additive inverses$"):
+        COUNTING_NAT.neg(1)
 
 
 def test_starred_laws():
@@ -150,6 +171,7 @@ def test_starred_laws():
 def test_starred_division():
     carrier = Starred(POSITIVE_RATIONAL)
     assert carrier.div(STAR, Fraction(2)) is STAR
+    assert carrier.div(Fraction(6), Fraction(4)) == Fraction(3, 2)
     with pytest.raises(SemiringError):
         carrier.div(Fraction(2), STAR)
 
