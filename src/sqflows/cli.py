@@ -2,9 +2,10 @@
 
 Exit codes: 0 for success or a passing check (also when the reader closes
 stdout early), 1 for a failing check or a found violation, 2 for input errors,
-for output that cannot be written and for running out of memory.  Every
-report goes to stdout through one writer, ``_emit``, a block of lines or
-items at a time, so a listing is never held as one string.
+for output that cannot be written and for running out of memory, 3 for an
+internal error, with its traceback on stderr.  Every report goes to stdout
+through one writer, ``_emit``, a block of lines or items at a time, so a
+listing is never held as one string.
 Identical argv and seed give byte-identical output; --format json wraps every
 report in {"schema": 1, "command", "ok", "data"}.
 """
@@ -16,6 +17,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from . import counterexample as cx
 from . import doubleflow as dfmod
@@ -483,6 +485,11 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         pass
+    except Exception:
+        # A fault of the program, not of its input: never exit 1, which
+        # means a failing check.
+        traceback.print_exc()
+        return 3
     # Reported only here, after the except clause has let go of the frames
     # that ran out of memory.
     print("error: out of memory", file=sys.stderr)

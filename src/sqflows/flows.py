@@ -17,6 +17,10 @@ recursion limit.  Both engines run on the network's compiled form
 boundary order of the terminals force the k-th smallest chosen source to
 feed the k-th chosen sink, so both engines use only that pairing.
 
+A weighting is checked once, where it enters (:func:`_charged`): the weight
+of every vertex on some source -> sink path must be there and be a carrier
+element.  Past that check every engine runs the raw carrier operations.
+
 Over a ring, two helpers carry the Lindström–Gessel–Viennot lemma: a
 backward pass from a sink gives a path-matrix column (:func:`_column`), and a
 sparse exterior product wedges vectors (:func:`_wedge`).  They serve
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .network import NetworkForm, PlanarNetwork
-from .semiring import STAR, Carrier, CarrierMismatch, SemiringError, Starred
+from .semiring import STAR, Carrier, SemiringError, Starred
 
 
 class FlowError(ValueError):
@@ -66,6 +70,15 @@ def _form(net: PlanarNetwork) -> NetworkForm:
     return form
 
 
+def _terminal_form(net: PlanarNetwork, names) -> NetworkForm:
+    """The compiled form, once every terminal in ``names`` is a vertex."""
+    form = _form(net)
+    for v in names:
+        if v not in form.index:
+            raise FlowError(f"terminal {v!r} is not a vertex")
+    return form
+
+
 def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     """The terminal rule of the sweep and the enumerator, for paths
     srcs[k] -> dsts[k]: raises FlowError unless every terminal is a vertex,
@@ -73,11 +86,8 @@ def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     source's reach, since then no path system exists.  Otherwise returns the
     source and sink positions and, per path, the mask of the positions it may
     use: those that reach its sink and are no other path's terminal."""
-    form = _form(net)
+    form = _terminal_form(net, srcs + dsts)
     index, ancestors = form.index, form.ancestors
-    for v in srcs + dsts:
-        if v not in index:
-            raise FlowError(f"terminal {v!r} is not a vertex")
     starts = [index[v] for v in srcs]
     ends = [index[v] for v in dsts]
     terminals = set(starts + ends)
@@ -334,53 +344,28 @@ def undefined_value(carrier: Carrier):
     return None
 
 
-class _Fault:
-    """A weight that could not be charged (missing, or not a carrier element).
-
-    The sweep carries it through the semiring operations like an absorbing
-    element and raises it only if it reaches the final state, so a bad weight
-    on a vertex that no flow uses stays harmless, as under enumeration."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: Exception):
-        self.error = error
-
-
-def _charge_value(weighting: Mapping, key, carrier: Carrier):
-    try:
-        value = _weight_of(weighting, key)
-        carrier.check(value)
-    except (FlowError, CarrierMismatch) as exc:
-        return _Fault(exc)
-    return value
-
-
 def _charged(net: PlanarNetwork, weighting: Mapping, carrier: Carrier) -> tuple:
-    """Per position of the compiled form, the checked weight a path pays
-    there: None where nothing is paid, a _Fault where the weight is missing
-    or not a carrier element."""
-    return tuple(
-        None if key is None else _charge_value(weighting, key, carrier) for key in _form(net).charge
-    )
-
-
-def _guarded(paid: tuple, *ops):
-    """The carrier operations ``ops`` as given, or passing faults through
-    when ``paid`` holds one."""
-    if not any(type(v) is _Fault for v in paid):
-        return ops
-
-    def guard(op):
-        def guarded(*args):
-            for a in args:
-                if type(a) is _Fault:
-                    return a
-            return op(*args)
-
-        return guarded
-
-    return [guard(op) for op in ops]
+    """Per position of the compiled form, the weight a path pays there, or
+    None where nothing is paid or no source -> sink path passes.  The weight
+    of every position on some source -> sink path is read and checked, in
+    position order; the first that is missing or not a carrier element
+    raises.  Dead ends and vertices with no way in need no weight."""
+    form = _form(net)
+    index = form.index
+    reached = {index[s] for s in net.sources if s in index}
+    to_sink = 0
+    for t in net.sinks:
+        to_sink |= form.ancestors[index[t]] if t in index else 0
+    paid = []
+    for p, key in enumerate(form.charge):
+        value = None
+        if p in reached:
+            reached.update(form.succ[p])
+            if key is not None and to_sink >> p & 1:
+                value = _weight_of(weighting, key)
+                carrier.check(value)
+        paid.append(value)
+    return tuple(paid)
 
 
 def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
@@ -408,7 +393,7 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
     m = len(starts)
     if m == 0:
         return carrier.product(())
-    mul, add = _guarded(paid, carrier._mul, carrier._add)
+    mul, add = carrier._mul, carrier._add
     succ = net.form.succ
 
     # A value is None, the empty product, only until its first payment.  Two
@@ -433,10 +418,7 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
                 old = states.get(key, _ABSENT)
                 states[key] = val if old is _ABSENT else add(old, val)
 
-    total = states.get((-1,) * m)
-    if type(total) is _Fault:
-        raise total.error
-    return total
+    return states.get((-1,) * m)
 
 
 def evaluate_fgf(net: PlanarNetwork, weighting: Mapping, I: Iterable[int], carrier: Carrier):
@@ -449,7 +431,9 @@ def evaluate_fgf(net: PlanarNetwork, weighting: Mapping, I: Iterable[int], carri
 
 class FlowFunction:
     """Memoized f(I) for one (network, weighting, carrier) triple.  The
-    weighting is checked once, on the first call that reaches the sweep."""
+    weighting is checked once (:func:`_charged`), on the first call that
+    reaches the sweep; a bad weight on any source -> sink path raises there,
+    whether or not a flag flow of that call pays it."""
 
     def __init__(self, net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
         self.network = net
@@ -495,11 +479,11 @@ def _column(form: NetworkForm, paid: tuple, end: int, one, mul, add) -> dict:
     return sums
 
 
-def _wedge(vectors, one, mul, add, neg, zero=None) -> dict:
+def _wedge(vectors, one, mul, add, neg, zero) -> dict:
     """The exterior product of ``vectors``, lists of (r, coordinate on e_r),
     as a dict from the bitmask of S to the coordinate of e_S; the sign of
-    e_S ^ e_r is the parity of the members of S above r.  Unless ``zero`` is
-    None, coordinates equal to it are dropped after each factor."""
+    e_S ^ e_r is the parity of the members of S above r.  Coordinates equal
+    to ``zero`` are dropped after each factor."""
     table = {0: one}
     for vector in vectors:
         column = [(r, 1 << r, (x, neg(x))) for r, x in vector]
@@ -512,9 +496,8 @@ def _wedge(vectors, one, mul, add, neg, zero=None) -> dict:
                 key = members | bit
                 old = wedge.get(key)
                 wedge[key] = term if old is None else add(old, term)
-        if zero is not None:
-            for key in [key for key, v in wedge.items() if v == zero]:
-                del wedge[key]
+        for key in [key for key, v in wedge.items() if v == zero]:
+            del wedge[key]
         table = wedge
     return table
 
@@ -524,26 +507,20 @@ def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
     sink j, row j one :func:`_column` pass.  Its minors equal the (I, J)-flow
     sums only with the terminals in boundary order, which this function does
     not check (:attr:`PlanarNetwork.crossed_pairing`): a network whose only
-    disjoint system crosses has a 2 x 2 minor of -1.  An entry that a weight
-    fault reaches, or whose terminal is not a vertex, is settled by the sweep,
-    which raises as it does on that entry."""
+    disjoint system crosses has a 2 x 2 minor of -1.  A terminal that is not
+    a vertex raises FlowError, and so does a weighting that misses a vertex
+    on some source -> sink path."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     if len(net.sinks) != len(net.sources):
         raise FlowError("path matrix needs equally many sources and sinks")
+    form = _terminal_form(net, net.sources + net.sinks)
     paid = _charged(net, weighting, carrier)
-    mul, add = _guarded(paid, carrier._mul, carrier._add)
-    index = net.form.index
+    index, zero = form.index, carrier.zero
     rows = []
     for t in net.sinks:
-        sums = _column(net.form, paid, index[t], carrier.one, mul, add) if t in index else {}
-        row = []
-        for s in net.sources:
-            total = sums.get(index.get(s))
-            if type(total) is _Fault or s not in index or t not in index:
-                total = _flow_sum(net, paid, (s,), (t,), carrier)
-            row.append(carrier.zero if total is None else total)
-        rows.append(tuple(row))
+        sums = _column(form, paid, index[t], carrier.one, carrier._mul, carrier._add)
+        rows.append(tuple(sums.get(index[s], zero) for s in net.sources))
     return tuple(rows)
 
 
@@ -554,37 +531,23 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
     With the terminals in boundary order, Lindström–Gessel–Viennot and
     Cauchy–Binet make the :func:`_wedge` of the :func:`_column` passes of
     sinks 1..k the sum of f(A) e_A over the k-subsets A; a network with a
-    crossed pairing (:attr:`PlanarNetwork.crossed_pairing`) raises FlowError.
-    A weight fault rides along as in the sweep and keeps zero coordinates, so
-    it reaches the coordinate of every set one of whose flows pays it; each
-    such coordinate is settled by the sweep, which raises the fault exactly
-    when a flow pays it."""
+    crossed pairing (:attr:`PlanarNetwork.crossed_pairing`) raises FlowError
+    before any weight is read."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     if k < 0:
         raise FlowError("flag table needs k >= 0")
     if k > min(len(net.sources), len(net.sinks)):
         return {}
-    paid = _charged(net, weighting, carrier)
-    index = net.form.index
-    for v in net.sources + net.sinks[:k]:
-        if v not in index:
-            raise FlowError(f"terminal {v!r} is not a vertex")
+    form = _terminal_form(net, net.sources + net.sinks[:k])
     if net.crossed_pairing:
         raise FlowError(net.crossed_pairing)
-    faulty = any(type(v) is _Fault for v in paid)
-    mul, add, neg = _guarded(paid, carrier._mul, carrier._add, carrier._neg)
-    rows = [index[s] for s in net.sources]
-    passes = (_column(net.form, paid, index[t], carrier.one, mul, add) for t in net.sinks[:k])
+    paid = _charged(net, weighting, carrier)
+    one, mul, add = carrier.one, carrier._mul, carrier._add
+    rows = [form.index[s] for s in net.sources]
+    passes = (_column(form, paid, form.index[t], one, mul, add) for t in net.sinks[:k])
     columns = [[(r, col[p]) for r, p in enumerate(rows) if p in col] for col in passes]
-    table = _wedge(columns, carrier.one, mul, add, neg, None if faulty else carrier.zero)
-    if faulty:
-        for key, v in table.items():
-            if type(v) is _Fault:
-                srcs = tuple(s for r, s in enumerate(net.sources) if key >> r & 1)
-                table[key] = _flow_sum(net, paid, srcs, net.sinks[:k], carrier)
-        table = {key: v for key, v in table.items() if v is not None and v != carrier.zero}
-    return table
+    return _wedge(columns, one, mul, add, carrier._neg, carrier.zero)
 
 
 def minor(matrix, I: Iterable[int], J: Iterable[int], carrier: Carrier):

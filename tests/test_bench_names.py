@@ -67,3 +67,15 @@ def test_fgf_call_exists():
     from sqflows.flows import FlowFunction
 
     assert inspect.isfunction(vars(FlowFunction).get("__call__"))
+
+
+def test_fgf_memo_and_systems_generator_exist():
+    # the tracer's fgf memo-hit and flows-enumerated counters read these
+    # internals, and silently read 0 without them
+    from sqflows import flows
+    from sqflows.network import build_half_grid
+    from sqflows.semiring import EXACT_INT
+
+    assert inspect.isgeneratorfunction(flows._systems)
+    f = flows.FlowFunction(build_half_grid(2), {}, EXACT_INT)
+    assert type(f._memo) is dict

@@ -475,6 +475,19 @@ def test_out_of_memory_is_an_input_error(monkeypatch, capsys):
         assert (code, err) == (2, "error: out of memory\n")
 
 
+def test_internal_error_exits_3(monkeypatch, pair_files, capsys):
+    # an unexpected exception is a fault of the program: exit 3 with its
+    # traceback, never exit 1, which means a failing check
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("sqflows.cli.cmd_check_balance", broken)
+    code, out, err = run(capsys, ["check-balance", pair_files[0]])
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: boom\n")
+
+
 ODD_NAMES = ['"', "\\", "\u00e9", "\U0001d50f", "\x01"]
 
 

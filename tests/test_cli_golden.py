@@ -27,6 +27,13 @@ SIGNED_WEIGHTS = "1,1 a\n2,1 -b\n2,2 a\n3,1 b\n3,2 a\n3,3 b\n"
 BAD_WEIGHTS = "1,1 1\n# the next value is no integer\n2,1 x\n"
 # Terminals out of boundary order: the only disjoint system pairs a -> d, b -> c.
 CROSSED = "vertex a\nvertex b\nvertex c\nvertex d\nedge a d\nedge b c\nsources a b\nsinks c d\n"
+# A dead end x after source a, on no source -> sink path: its weight may be
+# left out.
+DEAD_END = ("vertex a\nvertex b\nvertex c\nvertex d\nvertex x\nedge a b\nedge a c\nedge b d\nedge c d\nedge a x\n"
+            "sources a b\nsinks c d\n")
+DEAD_END_WEIGHTS = "a 2\nb 3\nc 5\nd 7\n"
+# halfgrid:3 without the weights of 2,1 and 3,1, both on source -> sink paths.
+PARTIAL_WEIGHTS = "1,1 1\n2,2 1\n3,3 1\n3,2 1\n"
 
 # Pair files made by `gen-family`, and a copy of each with the last
 # right-hand subset dropped, which is unbalanced.
@@ -72,6 +79,8 @@ CASES = [
     "lindstrom --network halfgrid:3 --carrier polyint --weights poly.w",
     "lindstrom --network halfgrid:3 --carrier polyint --weights poly.w --format json",
     "lindstrom --network halfgrid:3 --carrier polyint --weights signed.w",
+    "lindstrom --network dead-end.net --weights dead-end.w",
+    "lindstrom --network dead-end.net --weights dead-end.w --format json",
     # listings
     "flows --network halfgrid:5 -I 1,3,5",
     "flows --network halfgrid:5 -I 1,3,5 --format json",
@@ -135,6 +144,8 @@ EXPECTED = {
     'lindstrom --network halfgrid:3 --carrier polyint --weights poly.w': (0, 'a a·b a·b + a·b·c\n0 2·a·b^2 2·a·b^2 + 2·a·b^2·c + 2·a^3·b + 2·a^3·b·c\n0 0 a^2·b + a^2·b·c + a^2·c + a^2·c^2\n'),
     'lindstrom --network halfgrid:3 --carrier polyint --weights poly.w --format json': (0, '{"command": "lindstrom", "data": {"matrix": [["a", "a\\u00b7b", "a\\u00b7b + a\\u00b7b\\u00b7c"], ["0", "2\\u00b7a\\u00b7b^2", "2\\u00b7a\\u00b7b^2 + 2\\u00b7a\\u00b7b^2\\u00b7c + 2\\u00b7a^3\\u00b7b + 2\\u00b7a^3\\u00b7b\\u00b7c"], ["0", "0", "a^2\\u00b7b + a^2\\u00b7b\\u00b7c + a^2\\u00b7c + a^2\\u00b7c^2"]]}, "ok": true, "schema": 1}\n'),
     'lindstrom --network halfgrid:3 --carrier polyint --weights signed.w': (2, ''),
+    'lindstrom --network dead-end.net --weights dead-end.w': (0, '10 0\n112 21\n'),
+    'lindstrom --network dead-end.net --weights dead-end.w --format json': (0, '{"command": "lindstrom", "data": {"matrix": [["10", "0"], ["112", "21"]]}, "ok": true, "schema": 1}\n'),
     'flows --network halfgrid:5 -I 1,3,5': (0, '1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3\n1,1;3,1 2,1 2,2;5,1 4,1 4,2 4,3 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 4,2 3,2 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 4,2 4,3 3,3\n1,1;3,1 2,1 2,2;5,1 5,2 5,3 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 4,1 4,2 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 5,2 4,2 4,3 3,3\n1,1;3,1 3,2 2,2;5,1 5,2 5,3 4,3 3,3\n'),
     'flows --network halfgrid:5 -I 1,3,5 --format json': (0, '{"command": "flows", "data": {"count": 8, "flows": ["1,1;3,1 2,1 2,2;5,1 4,1 4,2 3,2 3,3", "1,1;3,1 2,1 2,2;5,1 4,1 4,2 4,3 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 4,2 3,2 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 4,2 4,3 3,3", "1,1;3,1 2,1 2,2;5,1 5,2 5,3 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 4,1 4,2 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 5,2 4,2 4,3 3,3", "1,1;3,1 3,2 2,2;5,1 5,2 5,3 4,3 3,3"]}, "ok": true, "schema": 1}\n'),
     'flows --network halfgrid:5 -I 2,4 -J 1,3': (0, '2,1 1,1;4,1 3,1 3,2 3,3\n2,1 1,1;4,1 4,2 3,2 3,3\n2,1 1,1;4,1 4,2 4,3 3,3\n'),
@@ -180,7 +191,8 @@ def _run(argv):
 
 def _write_inputs(directory: Path) -> None:
     files = {"pair.txt": BALANCED, "unbalanced.txt": UNBALANCED, "int.w": INT_WEIGHTS, "poly.w": POLY_WEIGHTS,
-             "signed.w": SIGNED_WEIGHTS, "bad.w": BAD_WEIGHTS, "crossed.net": CROSSED}
+             "signed.w": SIGNED_WEIGHTS, "bad.w": BAD_WEIGHTS, "crossed.net": CROSSED,
+             "dead-end.net": DEAD_END, "dead-end.w": DEAD_END_WEIGHTS, "partial.w": PARTIAL_WEIGHTS}
     for name, argv in GENERATED.items():
         out = _run(argv)[1]
         files[f"{name}.txt"] = out
@@ -215,6 +227,16 @@ def test_bad_weight_names_its_vertex_line_and_file(tmp_path, monkeypatch):
         code, out = _run("lindstrom --network halfgrid:3 --weights bad.w".split())
     message = "error: invalid literal for int() with base 10: 'x' (vertex '2,1' on line 3 of 'bad.w')\n"
     assert (code, out, err.getvalue()) == (2, "", message)
+
+
+def test_missing_weights_name_the_first_in_topological_order(tmp_path, monkeypatch):
+    # 3,1 precedes 2,1 in the topological order of halfgrid:3
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run("lindstrom --network halfgrid:3 --weights partial.w".split())
+    assert (code, out, err.getvalue()) == (2, "", "error: weighting is missing vertex '3,1'\n")
 
 
 @pytest.mark.parametrize("command", ["flows --network crossed.net -I 1,2", "lindstrom --network crossed.net"])

@@ -4,6 +4,7 @@ oracle, value and type, and for the same errors; the exterior-product table
 (``flag_table``) checked against the sweep and the oracle."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -289,33 +290,36 @@ def _with_dead_ends(net):
     ids=lambda net: f"{len(net.vertices)}v",
 )
 def test_bad_weight_raises_only_on_a_flow(net):
-    # partial systems that die later pass through off-flow vertices: a
-    # missing or foreign weight there must not raise
+    # a missing or foreign weight raises exactly when its vertex lies on some
+    # source -> sink path, a one-path (I, J)-flow: f(I) then raises on every
+    # I that reaches the sweep, even where no flag flow of I pays it, and so
+    # does the path matrix; dead ends and vertices with no way in need no
+    # weight
     keys = net.original_vertices() or net.vertices
     ones = {v: 1 for v in keys}
-    for size in range(len(net.sources) + 1):
-        for I in combinations(range(1, len(net.sources) + 1), size):
+    n, m = len(net.sources), len(net.sinks)
+    pairs = [((i,), (j,)) for i in range(1, n + 1) for j in range(1, m + 1)]
+    used = _on_some_flow(net, [flow for I, J in pairs for flow in enumerate_flows(net, I, J)])
+    assert not {"x", "y"} & used
+    for size in range(n + 1):
+        for I in combinations(range(1, n + 1), size):
             expected = evaluate_fgf(net, ones, I, COUNTING_NAT)
-            used = _on_some_flow(net, enumerate_flag_flows(net, I))
             for v in keys:
                 missing = {u: 1 for u in keys if u != v}
                 foreign = dict(ones, **{v: -1})
-                if v in used:
-                    with pytest.raises(FlowError, match="missing"):
+                if v in used and size <= m:
+                    with pytest.raises(FlowError, match=f"^weighting is missing vertex {re.escape(repr(v))}$"):
                         evaluate_fgf(net, missing, I, COUNTING_NAT)
                     with pytest.raises(CarrierMismatch):
                         evaluate_fgf(net, foreign, I, COUNTING_NAT)
                 else:
                     assert evaluate_fgf(net, missing, I, COUNTING_NAT) == expected
                     assert evaluate_fgf(net, foreign, I, COUNTING_NAT) == expected
-    # the path matrix raises the sweep's error exactly when some source ->
-    # sink path pays the bad weight
-    n = len(net.sources)
-    if len(net.sinks) != n:
+    # the path matrix raises the same error exactly when some source -> sink
+    # path pays the bad weight
+    if m != n:
         return
     matrix = lindstrom_matrix(net, ones, EXACT_INT)
-    pairs = [((i,), (j,)) for i in range(1, n + 1) for j in range(1, n + 1)]
-    used = _on_some_flow(net, [flow for I, J in pairs for flow in enumerate_flows(net, I, J)])
     for v in keys:
         missing = {u: 1 for u in keys if u != v}
         foreign = dict(ones, **{v: "1"})
@@ -327,6 +331,21 @@ def test_bad_weight_raises_only_on_a_flow(net):
         else:
             assert lindstrom_matrix(net, missing, EXACT_INT) == matrix
             assert lindstrom_matrix(net, foreign, EXACT_INT) == matrix
+
+
+def test_several_bad_weights_raise_at_the_first_in_topological_order():
+    # halfgrid:3 without the weights of 2,1 and 3,1: the weighting is
+    # checked in topological order, where 3,1 comes before 2,1
+    g = build_half_grid(3)
+    assert g.order.index("3,1") < g.order.index("2,1")
+    weights = {"1,1": 1, "2,2": 1, "3,3": 1, "3,2": 1}
+    for call in (
+        lambda: lindstrom_matrix(g, weights, EXACT_INT),
+        lambda: evaluate_fgf(g, weights, {1}, EXACT_INT),
+        lambda: flag_table(g, weights, EXACT_INT, 1),
+    ):
+        with pytest.raises(FlowError, match="^weighting is missing vertex '3,1'$"):
+            call()
 
 
 def test_terminals_shared_between_paths():
@@ -442,10 +461,10 @@ def test_flag_table_raises_a_bad_weight_as_the_sweep_does(net):
                     assert flag_table(net, bad, EXACT_INT, k) == expected
 
 
-def test_flag_table_settles_a_fault_no_flow_pays():
-    # v3 lies on paths of both sources, so the coordinate of {1, 2} carries
-    # its missing weight, but no disjoint system exists: v0's paths pass the
-    # source v1.  The sweep settles the coordinate to no flow.
+def test_a_bad_weight_raises_though_no_flow_pays():
+    # v3 lies on source -> sink paths of both sources, so its missing weight
+    # raises on every call that reads the weighting, even where no flow pays
+    # it: {1, 2} has no disjoint system, since v0's paths pass the source v1
     net = PlanarNetwork(
         vertices=("v0", "v1", "v3", "v4", "v5"),
         edges=(("v0", "v1"), ("v1", "v3"), ("v1", "v5"), ("v3", "v4"), ("v3", "v5")),
@@ -453,7 +472,11 @@ def test_flag_table_settles_a_fault_no_flow_pays():
         sinks=("v4", "v5"),
     )
     weights = {"v0": 1, "v1": 2, "v4": 1, "v5": 1}
-    assert evaluate_fgf(net, weights, {1, 2}, EXACT_INT) == 0
-    assert flag_table(net, weights, EXACT_INT, 2) == {}
-    with pytest.raises(FlowError, match="missing vertex 'v3'"):
-        flag_table(net, weights, EXACT_INT, 1)
+    assert not enumerate_flag_flows(net, {1, 2})
+    for call in (
+        lambda: evaluate_fgf(net, weights, {1, 2}, EXACT_INT),
+        lambda: flag_table(net, weights, EXACT_INT, 1),
+        lambda: flag_table(net, weights, EXACT_INT, 2),
+    ):
+        with pytest.raises(FlowError, match="missing vertex 'v3'"):
+            call()
