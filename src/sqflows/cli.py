@@ -380,93 +380,116 @@ def cmd_doubleflow_audit(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its help and its arguments as (flag, keywords) for
+# ``add_argument``; every command also takes --format.  The handler of
+# "check-balance" is ``cmd_check_balance``, looked up when the parser is
+# built, so that a wrapper set on this module in the meantime is the one run.
+_COMMANDS = {
+    "check-balance": (
+        "decide balancedness of a collection pair",
+        (("pair", {"help": "collection pair file"}),),
+    ),
+    "enumerate-matchings": (
+        "list feasible matchings for a subset",
+        (
+            ("-p", {"type": int, "required": True, "dest": "p"}),
+            ("-q", {"type": int, "required": True, "dest": "q"}),
+            ("-A", {"required": True, "dest": "a_set", "help": "comma separated elements"}),
+        ),
+    ),
+    "verify": (
+        "check a relation on a network",
+        (
+            ("relation", {"help": "family:triple|quadruple|quintuple or a pair file"}),
+            ("--mode", {"choices": ("symbolic", "numeric", "tropical"), "default": "symbolic"}),
+            ("--network", {"default": None, "help": "halfgrid:N or a network file"}),
+            ("--trials", {"type": int, "default": 10}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--jobs", {"type": int, "default": 1, "help": "accepted and ignored; work runs serially"}),
+        ),
+    ),
+    "counterexample": (
+        "build a separating gadget for an unbalanced pair",
+        (
+            ("pair", {"help": "collection pair file"}),
+            ("--network-out", {"default": None}),
+        ),
+    ),
+    "gen-family": (
+        "emit a balanced family as a pair file",
+        (
+            ("family", {"choices": (*_FIXED_FAMILIES, "interval-exchange", "tail-fixed", "groebner")}),
+            ("-p", {"type": int, "default": 2, "dest": "p"}),
+            ("-q", {"type": int, "default": 1, "dest": "q"}),
+            ("--pi0", {"default": "", "help": "interval-exchange: indices of exchanged arcs"}),
+            ("--tail", {"default": "", "help": "tail-fixed: the fixed tail Q"}),
+            ("--B", {"default": "", "dest": "b_set", "help": "groebner: the subset B"}),
+            ("--d", {"type": int, "default": None}),
+        ),
+    ),
+    "laurent": (
+        "expand f(A) in interval values on the half-grid",
+        (
+            ("-n", {"type": int, "required": True}),
+            ("-A", {"required": True, "dest": "a_set"}),
+        ),
+    ),
+    "lindstrom": (
+        "print the path matrix row-major",
+        (
+            ("--network", {"required": True}),
+            ("--weights", {"default": None, "help": "file of 'vertex value' lines"}),
+            ("--carrier", {"default": "int"}),
+        ),
+    ),
+    "flows": (
+        "enumerate flag or (I,J)-flows",
+        (
+            ("--network", {"required": True}),
+            ("-I", {"required": True, "dest": "i_set"}),
+            ("-J", {"default": None, "dest": "j_set"}),
+        ),
+    ),
+    "doubleflow-audit": (
+        "d, M and N for a superposed flow pair",
+        (
+            ("--network", {"required": True}),
+            ("-I", {"required": True, "dest": "i_set"}),
+            ("-J", {"required": True, "dest": "j_set"}),
+            ("--phi", {"type": int, "default": 0}),
+            ("--phi-prime", {"type": int, "default": 0, "dest": "phi_prime"}),
+        ),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: each
+    ``add_argument`` builds a help formatter, so a call pays only for the
+    arguments of the command it runs."""
     parser = argparse.ArgumentParser(
         prog="sqflows",
         description="Flow-generated functions over semirings and their quadratic relations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("check-balance", help="decide balancedness of a collection pair")
-    p.add_argument("pair", help="collection pair file")
-    common(p)
-    p.set_defaults(func=cmd_check_balance)
-
-    p = sub.add_parser("enumerate-matchings", help="list feasible matchings for a subset")
-    p.add_argument("-p", type=int, required=True, dest="p")
-    p.add_argument("-q", type=int, required=True, dest="q")
-    p.add_argument("-A", required=True, dest="a_set", help="comma separated elements")
-    common(p)
-    p.set_defaults(func=cmd_enumerate_matchings)
-
-    p = sub.add_parser("verify", help="check a relation on a network")
-    p.add_argument("relation", help="family:triple|quadruple|quintuple or a pair file")
-    p.add_argument("--mode", choices=("symbolic", "numeric", "tropical"), default="symbolic")
-    p.add_argument("--network", default=None, help="halfgrid:N or a network file")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; work runs serially")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("counterexample", help="build a separating gadget for an unbalanced pair")
-    p.add_argument("pair", help="collection pair file")
-    p.add_argument("--network-out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("gen-family", help="emit a balanced family as a pair file")
-    p.add_argument(
-        "family",
-        choices=(*_FIXED_FAMILIES, "interval-exchange", "tail-fixed", "groebner"),
-    )
-    p.add_argument("-p", type=int, default=2, dest="p")
-    p.add_argument("-q", type=int, default=1, dest="q")
-    p.add_argument("--pi0", default="", help="interval-exchange: indices of exchanged arcs")
-    p.add_argument("--tail", default="", help="tail-fixed: the fixed tail Q")
-    p.add_argument("--B", default="", dest="b_set", help="groebner: the subset B")
-    p.add_argument("--d", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_gen_family)
-
-    p = sub.add_parser("laurent", help="expand f(A) in interval values on the half-grid")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-A", required=True, dest="a_set")
-    common(p)
-    p.set_defaults(func=cmd_laurent)
-
-    p = sub.add_parser("lindstrom", help="print the path matrix row-major")
-    p.add_argument("--network", required=True)
-    p.add_argument("--weights", default=None, help="file of 'vertex value' lines")
-    p.add_argument("--carrier", default="int")
-    common(p)
-    p.set_defaults(func=cmd_lindstrom)
-
-    p = sub.add_parser("flows", help="enumerate flag or (I,J)-flows")
-    p.add_argument("--network", required=True)
-    p.add_argument("-I", required=True, dest="i_set")
-    p.add_argument("-J", default=None, dest="j_set")
-    common(p)
-    p.set_defaults(func=cmd_flows)
-
-    p = sub.add_parser("doubleflow-audit", help="d, M and N for a superposed flow pair")
-    p.add_argument("--network", required=True)
-    p.add_argument("-I", required=True, dest="i_set")
-    p.add_argument("-J", required=True, dest="j_set")
-    p.add_argument("--phi", type=int, default=0)
-    p.add_argument("--phi-prime", type=int, default=0, dest="phi_prime")
-    common(p)
-    p.set_defaults(func=cmd_doubleflow_audit)
-
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        # the full parser rejects them, its usage line naming every command
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -78,9 +78,18 @@ class GadgetNetwork:
         its complement there."""
         a_set = set(a_set)
         if len(a_set) != self.p or not a_set <= set(range(1, 2 * self.p + 1)):
-            raise GadgetError(f"pair count needs a {self.p}-subset of [{2 * self.p}]")
-        mask = sum(1 << i - 1 for i in a_set)
-        return self.table.get(mask, 0) * self.table.get(mask ^ (1 << 2 * self.p) - 1, 0)
+            raise self._subset_error()
+        return self._pair_counts([sum(1 << i - 1 for i in a_set)])
+
+    def _subset_error(self) -> GadgetError:
+        return GadgetError(f"pair count needs a {self.p}-subset of [{2 * self.p}]")
+
+    def _pair_counts(self, masks) -> int:
+        """The sum of f(A) * f(A-hat) over the bitmasks of checked p-subsets
+        A of [2p]."""
+        table = self.table
+        full = (1 << 2 * self.p) - 1
+        return sum(table.get(mask, 0) * table.get(mask ^ full, 0) for mask in masks)
 
 
 def _u_name(arc, l):
@@ -204,8 +213,17 @@ class InequalityReport:
 
 def side_sums(lhs: Collection, rhs: Collection, gadget: GadgetNetwork) -> tuple[int, int]:
     """Both sides of the relation on ``gadget`` under unit weights: the sums
-    of f(A) * f(A-hat) over each collection, A-hat the complement in [2p]."""
-    return sum(map(gadget.pair_count, lhs.members)), sum(map(gadget.pair_count, rhs.members))
+    of f(A) * f(A-hat) over each collection, A-hat the complement in [2p].
+
+    A collection's members are p-subsets of [p+q], so one test of p and of
+    the largest member bitmask checks them all against the gadget."""
+    sums = []
+    for coll in (lhs, rhs):
+        masks = [sum(1 << i - 1 for i in m) for m in coll.members]
+        if masks and (coll.p != gadget.p or max(masks) >> 2 * gadget.p):
+            raise gadget._subset_error()
+        sums.append(gadget._pair_counts(masks))
+    return sums[0], sums[1]
 
 
 def evaluate_inequality(lhs: Collection, rhs: Collection) -> InequalityReport:

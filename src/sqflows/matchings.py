@@ -162,12 +162,15 @@ class Collection:
     def __post_init__(self):
         canon = tuple(sorted(tuple(sorted(m)) for m in self.members))
         object.__setattr__(self, "members", canon)
-        n = self.p + self.q
-        for m in self.members:
-            if len(m) != self.p or len(set(m)) != self.p:
-                raise MatchingError(f"member {m} is not a {self.p}-subset")
-            if not set(m) <= set(range(1, n + 1)):
-                raise MatchingError(f"member {m} is not inside [{n}]")
+        p, n = self.p, self.p + self.q
+        ground = set(range(1, n + 1))
+        for m in canon:
+            # p elements of which p lie in [n]: p distinct elements of [n]
+            if len(m) == p and len(ground.intersection(m)) == p:
+                continue
+            if len(m) != p or len(set(m)) != p:
+                raise MatchingError(f"member {m} is not a {p}-subset")
+            raise MatchingError(f"member {m} is not inside [{n}]")
 
 
 def collection(p: int, q: int, members: Iterable[Iterable[int]]) -> Collection:
@@ -206,6 +209,15 @@ def is_balanced(lhs: Collection, rhs: Collection) -> BalanceResult:
     return BalanceResult(False, NestedMatching(arcs, n), left, right)
 
 
+class _Ints(dict):
+    """Word -> int(word), each distinct word converted once: a pair file
+    repeats a few words, the elements of [p+q], many times."""
+
+    def __missing__(self, word):
+        self[word] = value = int(word)
+        return value
+
+
 def parse_collection_pair(text: str) -> tuple[Collection, Collection]:
     """First line "p q"; then one subset per line, the two blocks separated by
     a line "--"."""
@@ -218,12 +230,13 @@ def parse_collection_pair(text: str) -> tuple[Collection, Collection]:
     except ValueError:
         raise MatchingError("first line must be 'p q'") from None
     blocks: list[list[tuple[int, ...]]] = [[]]
+    number = _Ints().__getitem__
     for ln in lines[1:]:
         if ln == "--":
             blocks.append([])
             continue
         try:
-            blocks[-1].append(tuple(int(x) for x in ln.split()))
+            blocks[-1].append(tuple(map(number, ln.split())))
         except ValueError:
             raise MatchingError(f"bad subset line: {ln!r}") from None
     if len(blocks) != 2:

@@ -581,3 +581,83 @@ def test_block_size_does_not_change_output(block, pair_files, monkeypatch, capsy
     expected = [run(capsys, argv) for argv in runs]
     monkeypatch.setattr("sqflows.cli._BLOCK", block)
     assert [run(capsys, argv) for argv in runs] == expected
+
+
+COMMANDS = (
+    "check-balance", "enumerate-matchings", "verify", "counterexample", "gen-family",
+    "laurent", "lindstrom", "flows", "doubleflow-audit",
+)
+# help, unknown and abbreviated commands, extra arguments after a known
+# command, a bad choice, a bad int and missing required arguments
+PARSER_ARGV = [
+    ["--help"], ["-h"], [],
+    ["bogus"], ["check"], ["flow"], ["--format", "json"],
+    *([name, "--help"] for name in COMMANDS),
+    ["check-balance", "{good}", "--seed", "1"],
+    ["check-balance", "{good}", "{bad}"],
+    ["flows", "--network", "halfgrid:3", "-I", "1", "--jobs", "1"],
+    ["check-balance", "{good}", "--format", "xml"],
+    ["enumerate-matchings", "-p", "x", "-q", "1", "-A", "1"],
+    ["enumerate-matchings", "-p", "2", "-A", "1"],
+    ["check-balance"],
+    ["check-balance", "{good}"],
+    ["check-balance", "{bad}", "--form", "json"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _commands(parser):
+    (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return tuple(commands)
+
+
+def test_command_parser_matches_the_full_parser(pair_files, monkeypatch, capsys):
+    # a call builds only its command's parser; stdout, stderr and exit code
+    # stay those of the parser of every command
+    assert _commands(build_parser()) == COMMANDS
+    assert _commands(build_parser("flows")) == ("flows",)
+    good, bad = pair_files
+    table = [[arg.format(good=good, bad=bad) for arg in argv] for argv in PARSER_ARGV]
+    narrow = [_outcome(capsys, argv) for argv in table]
+    monkeypatch.setattr("sqflows.cli.build_parser", lambda command=None: build_parser())
+    assert [_outcome(capsys, argv) for argv in table] == narrow
+    code, _, err = narrow[PARSER_ARGV.index(["check-balance", "{good}", "--seed", "1"])]
+    assert code == 2
+    assert "{" + ",".join(COMMANDS) + "}" in err
+    assert err.endswith("sqflows: error: unrecognized arguments: --seed 1\n")
+
+
+def test_main_reads_sys_argv_and_builds_one_parser(pair_files, monkeypatch, capsys):
+    # main(None) reads sys.argv and answers as main(argv) does; either way a
+    # call builds its command's parser, and the full one only for leftovers
+    good, _ = pair_files
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr("sqflows.cli.build_parser", spy)
+    cases = [
+        (["check-balance", good], ["check-balance"]),
+        (["check-balance", good, "--seed", "1"], ["check-balance", None]),
+        (["flows", "--help"], ["flows"]),
+        (["--help"], [None]),
+        ([], [None]),
+    ]
+    for argv, expected in cases:
+        monkeypatch.setattr(sys, "argv", ["sqflows", *argv])
+        outcomes = []
+        for call in (argv, None):
+            built.clear()
+            outcomes.append(_outcome(capsys, call))
+            assert built == expected
+        assert outcomes[0] == outcomes[1]

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqflows.counterexample import (
     GadgetError,
@@ -312,6 +314,38 @@ def test_side_sums_match_multiset_counts():
             lcount = sum(1 for a in c1.members if is_feasible(m, a))
             rcount = sum(1 for a in c2.members if is_feasible(m, a))
             assert lhs == lcount and rhs == rcount
+
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_side_sums_is_the_sum_of_pair_counts(data):
+    # collections with the gadget's p or another, and q up to p + 1, so that
+    # members can reach past [2p]: the sums or the error of pair_count
+    p = data.draw(st.integers(1, 4))
+    gadget = build_gadget_network(data.draw(st.sampled_from(enumerate_nested_matchings(2 * p, p))))
+    size = data.draw(st.integers(max(0, p - 1), p + 1))
+    q = data.draw(st.integers(0, p + 1))
+    pool = list(combinations(range(1, size + q + 1), size))
+    side = st.lists(st.sampled_from(pool), max_size=5)
+    lhs = collection(size, q, data.draw(side))
+    rhs = collection(size, q, data.draw(side))
+
+    def member_sums(lhs, rhs):
+        return sum(map(gadget.pair_count, lhs.members)), sum(map(gadget.pair_count, rhs.members))
+
+    assert _outcome(side_sums, lhs, rhs, gadget) == _outcome(member_sums, lhs, rhs)
+
+
+def test_side_sums_rejects_a_collection_of_another_p():
+    gadget = build_gadget_network(NestedMatching(((1, 4), (2, 3)), 4))
+    good = collection(2, 1, [(1, 2)])
+    for other in (collection(3, 1, [(1, 2, 3)]), collection(1, 1, [(1,), (2,)]), collection(2, 3, [(1, 5)])):
+        for lhs, rhs in ((other, good), (good, other)):
+            with pytest.raises(GadgetError, match=r"^pair count needs a 2-subset of \[4\]$"):
+                side_sums(lhs, rhs, gadget)
+    # an empty collection has no member to check
+    assert side_sums(collection(3, 1, []), good, gadget) == (0, 1)
 
 
 def _outcome(fn, *args):

@@ -395,3 +395,77 @@ def test_pair_file_errors():
         parse_collection_pair("2 1\n1 2\n--\n1 3\n--\n2 3\n")
     with pytest.raises(MatchingError):
         parse_collection_pair("x y\n1 2\n--\n1 3\n")
+
+
+def _first_bad_member(p, q, members):
+    """The error a collection names: its members sorted, then checked one by
+    one for size, repeats and range, each with two fresh sets."""
+    n = p + q
+    for m in sorted(tuple(sorted(m)) for m in members):
+        if len(m) != p or len(set(m)) != p:
+            return f"member {m} is not a {p}-subset"
+        if not set(m) <= set(range(1, n + 1)):
+            return f"member {m} is not inside [{n}]"
+    return None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2\n3 5\n1 1\n1 2 3\n--\n1 2\n", "member (1, 1) is not a 2-subset"),
+        ("2 2\n1 2\n0 4\n3 3\n--\n", "member (0, 4) is not inside [4]"),
+        ("2 2\n1 2\n--\n2 5\n4\n4 4\n", "member (2, 5) is not inside [4]"),
+        ("3 1\n4 3 2 1\n2 2 1\n--\n1 2 3\n", "member (1, 2, 2) is not a 3-subset"),
+        ("2 2\n1 2\n--\n5 5\n1 2 9\n", "member (1, 2, 9) is not a 2-subset"),
+    ],
+)
+def test_pair_file_names_the_first_bad_member(text, message):
+    # several bad members (wrong size, a repeated element, outside [n]): the
+    # first in sorted order is named, left side first
+    with pytest.raises(MatchingError) as exc:
+        parse_collection_pair(text)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_collection_check_names_the_member_the_member_loop_names(data):
+    p = data.draw(st.integers(0, 4))
+    q = data.draw(st.integers(0, 4))
+    element = st.integers(-1, p + q + 1)
+    members = data.draw(st.lists(st.lists(element, max_size=p + 2), max_size=6))
+    expected = _first_bad_member(p, q, members)
+    if expected is None:
+        assert collection(p, q, members).members == tuple(sorted(tuple(sorted(m)) for m in members))
+    else:
+        with pytest.raises(MatchingError) as exc:
+            collection(p, q, members)
+        assert str(exc.value) == expected
+
+
+def test_pair_file_keeps_repeated_lines():
+    lhs, rhs = parse_collection_pair("2 1\n1 2\n2 1\n2 3\n1 2\n--\n1 3\n# note\n1 3\n")
+    assert lhs.members == ((1, 2), (1, 2), (1, 2), (2, 3))
+    assert rhs.members == ((1, 3), (1, 3))
+
+
+def test_pair_file_words_are_ints():
+    # each word is read as int() reads it, once per distinct word
+    lhs, rhs = parse_collection_pair("2 1\n+1 03\n3 1\n--\n1 3\n")
+    assert lhs.members == rhs.members[:1] * 2
+    for line in ("1 x", "1 2.0", "1 03 x"):
+        with pytest.raises(MatchingError) as exc:
+            parse_collection_pair(f"2 1\n1 3\n{line}\n--\n1 3\n")
+        assert str(exc.value) == f"bad subset line: {line!r}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_file_round_trip_property(data):
+    p = data.draw(st.integers(1, 5))
+    q = data.draw(st.integers(0, 5))
+    subsets = st.permutations(range(1, p + q + 1)).map(lambda order: order[:p])
+    side = st.lists(subsets, max_size=6)
+    lhs = collection(p, q, data.draw(side))
+    rhs = collection(p, q, data.draw(side))
+    assert parse_collection_pair(write_collection_pair(lhs, rhs)) == (lhs, rhs)
