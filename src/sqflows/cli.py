@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-import traceback
 
 from . import counterexample as cx
 from . import doubleflow as dfmod
@@ -510,7 +509,10 @@ def main(argv=None) -> int:
         pass
     except Exception:
         # A fault of the program, not of its input: never exit 1, which
-        # means a failing check.
+        # means a failing check.  traceback is loaded only here, off the
+        # start-up path of every call.
+        import traceback
+
         traceback.print_exc()
         return 3
     # Reported only here, after the except clause has let go of the frames

@@ -16,10 +16,10 @@ once per gadget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
+from ._record import Record
 from .flows import flag_table
 from .matchings import (
     Collection,
@@ -35,15 +35,14 @@ class GadgetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AugmentedMatching:
+class AugmentedMatching(Record):
     """M padded to a complete nested matching on [2p]: each free element i_l
     gains the arc (i_l, 2p - l + 1)."""
 
-    original: NestedMatching
-    result: NestedMatching
-    p: int
-    q: int
+    _fields = ("original", "result", "p", "q")
+
+    def __init__(self, original: NestedMatching, result: NestedMatching, p: int, q: int):
+        self.__dict__.update(original=original, result=result, p=p, q=q)
 
 
 def augment_matching(matching: NestedMatching, p: int, q: int) -> AugmentedMatching:
@@ -59,11 +58,11 @@ def augment_matching(matching: NestedMatching, p: int, q: int) -> AugmentedMatch
     return AugmentedMatching(original=matching, result=result, p=p, q=q)
 
 
-@dataclass(frozen=True)
-class GadgetNetwork:
-    network: PlanarNetwork
-    matching: NestedMatching
-    p: int
+class GadgetNetwork(Record):
+    _fields = ("network", "matching", "p")
+
+    def __init__(self, network: PlanarNetwork, matching: NestedMatching, p: int):
+        self.__dict__.update(network=network, matching=matching, p=p)
 
     @cached_property
     def table(self) -> dict[int, int]:
@@ -201,14 +200,26 @@ def verify_P1_P2(gadget: GadgetNetwork, matching: NestedMatching, p: int, q: int
     return paired == 1 << q
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    witness: NestedMatching
-    augmented: AugmentedMatching
-    gadget: GadgetNetwork
-    lhs_sum: int
-    rhs_sum: int
-    p1_p2_verified: bool
+class InequalityReport(Record):
+    _fields = ("witness", "augmented", "gadget", "lhs_sum", "rhs_sum", "p1_p2_verified")
+
+    def __init__(
+        self,
+        witness: NestedMatching,
+        augmented: AugmentedMatching,
+        gadget: GadgetNetwork,
+        lhs_sum: int,
+        rhs_sum: int,
+        p1_p2_verified: bool,
+    ):
+        self.__dict__.update(
+            witness=witness,
+            augmented=augmented,
+            gadget=gadget,
+            lhs_sum=lhs_sum,
+            rhs_sum=rhs_sum,
+            p1_p2_verified=p1_p2_verified,
+        )
 
 
 def side_sums(lhs: Collection, rhs: Collection, gadget: GadgetNetwork) -> tuple[int, int]:

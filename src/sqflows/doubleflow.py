@@ -13,8 +13,8 @@ positions of the first flow inside Y.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 
+from ._record import Record
 from .flows import Flow, enumerate_flag_flows
 from .matchings import NestedMatching, exchange, is_feasible
 from .network import SPLIT, PlanarNetwork
@@ -25,16 +25,23 @@ class DoubleFlowError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DoubleFlow:
+class DoubleFlow(Record):
     """Edge multiplicity function xi in {0,1,2}, stored sparsely and sorted,
     with the instance (X, Y) and the set A whose I(A) and J(A) are the two
-    flows' source index sets."""
+    flows' source index sets.  Equality, hashing and repr leave out the
+    network."""
 
-    multiplicities: tuple[tuple[tuple[str, str], int], ...]
-    instance: Instantiation
-    a_set: frozenset[int]
-    network: PlanarNetwork = field(compare=False, repr=False)
+    _fields = ("multiplicities", "instance", "a_set", "network")
+    _uncompared = _hidden = ("network",)
+
+    def __init__(
+        self,
+        multiplicities: tuple[tuple[tuple[str, str], int], ...],
+        instance: Instantiation,
+        a_set: frozenset[int],
+        network: PlanarNetwork,
+    ):
+        self.__dict__.update(multiplicities=multiplicities, instance=instance, a_set=a_set, network=network)
 
     def as_dict(self) -> dict[tuple[str, str], int]:
         return dict(self.multiplicities)
@@ -67,8 +74,7 @@ def superpose(phi: Flow, phi_prime: Flow) -> DoubleFlow:
     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Connected components of the multiplicity-one subgraph: circuits plus
     simple paths whose ends sit among the gamma(A)/gamma(complement) sources
     and the sinks in the window (|J(A)|, |I(A)|].
@@ -76,11 +82,23 @@ class Decomposition:
     ``essential_arcs`` is aligned with ``essential_paths``; the matching holds
     the same arcs in canonical sorted order."""
 
-    circuits: tuple[tuple[tuple[str, str], ...], ...]
-    paths: tuple[tuple[tuple[str, str], ...], ...]
-    essential_arcs: tuple[tuple[int, int], ...]
-    essential_paths: tuple[tuple[tuple[str, str], ...], ...]
-    matching: NestedMatching
+    _fields = ("circuits", "paths", "essential_arcs", "essential_paths", "matching")
+
+    def __init__(
+        self,
+        circuits: tuple[tuple[tuple[str, str], ...], ...],
+        paths: tuple[tuple[tuple[str, str], ...], ...],
+        essential_arcs: tuple[tuple[int, int], ...],
+        essential_paths: tuple[tuple[tuple[str, str], ...], ...],
+        matching: NestedMatching,
+    ):
+        self.__dict__.update(
+            circuits=circuits,
+            paths=paths,
+            essential_arcs=essential_arcs,
+            essential_paths=essential_paths,
+            matching=matching,
+        )
 
     @property
     def d(self) -> int:
@@ -206,7 +224,8 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     no two J-flows share an edge set."""
     I, J = df.instance.index_sets(df.a_set if a_set is None else a_set)
     net, xi = df.network, df.as_dict()
-    sub = replace(net, edges=tuple(e for e in net.edges if e in xi))
+    edges = tuple(e for e in net.edges if e in xi)
+    sub = PlanarNetwork(net.vertices, edges, net.sources, net.sinks, net.origins, net.planarity, net.coords)
     singles, doubles = frozenset(df.level_edges(1)), frozenset(df.level_edges(2))
     seconds = {frozenset(psi_prime.edges()) for psi_prime in enumerate_flag_flows(sub, J)}
     count = 0

@@ -30,9 +30,9 @@ refuses a network with a crossed pairing (``PlanarNetwork.crossed_pairing``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from ._record import Record
 from .network import NetworkForm, PlanarNetwork
 from .semiring import STAR, Carrier, SemiringError, Starred
 
@@ -44,15 +44,24 @@ class FlowError(ValueError):
 _ABSENT = object()
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """Vertex-disjoint directed path system; path k runs from the k-th
-    smallest selected source to the k-th selected sink."""
+    smallest selected source to the k-th selected sink.  Equality, hashing
+    and repr leave out the network."""
 
-    paths: tuple[tuple[str, ...], ...]
-    source_indices: tuple[int, ...]
-    sink_indices: tuple[int, ...]
-    network: PlanarNetwork = field(compare=False, repr=False)
+    _fields = ("paths", "source_indices", "sink_indices", "network")
+    _uncompared = _hidden = ("network",)
+
+    def __init__(
+        self,
+        paths: tuple[tuple[str, ...], ...],
+        source_indices: tuple[int, ...],
+        sink_indices: tuple[int, ...],
+        network: PlanarNetwork,
+    ):
+        self.__dict__.update(
+            paths=paths, source_indices=source_indices, sink_indices=sink_indices, network=network
+        )
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         out = []

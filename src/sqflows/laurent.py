@@ -9,9 +9,9 @@ monomial sum in the interval values with exponents in {-1, 0, 1, 2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from ._record import Record
 from .flows import Flow, list_flows
 from .network import build_half_grid, half_grid_vertex
 from .semiring import Carrier, SemiringError
@@ -95,11 +95,13 @@ def weights_from_intervals(vals: Mapping[Interval, object], n: int, carrier: Car
 Monomial = tuple[tuple[Interval, int], ...]
 
 
-@dataclass(frozen=True)
-class LaurentExpression:
+class LaurentExpression(Record):
     """Sum of monomials; each monomial maps intervals to integer degrees."""
 
-    monomials: tuple[Monomial, ...]
+    _fields = ("monomials",)
+
+    def __init__(self, monomials: tuple[Monomial, ...]):
+        self.__dict__.update(monomials=monomials)
 
     def evaluate(self, vals: Mapping[Interval, object], carrier: Carrier):
         if not carrier.has_div:

@@ -13,9 +13,10 @@ bitset of member copies it is still feasible for.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
+
+from ._record import Record
 
 Arc = tuple[int, int]
 
@@ -24,18 +25,17 @@ class MatchingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NestedMatching:
+class NestedMatching(Record):
     """A set of arcs on [ambient], held in canonical sorted order."""
 
-    arcs: tuple[Arc, ...]
-    ambient: int
+    _fields = ("arcs", "ambient")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(sorted(tuple(a) for a in self.arcs)))
-        for i, j in self.arcs:
-            if not (1 <= i < j <= self.ambient):
-                raise MatchingError(f"bad arc ({i}, {j}) on [{self.ambient}]")
+    def __init__(self, arcs: tuple[Arc, ...], ambient: int):
+        arcs = tuple(sorted(tuple(a) for a in arcs))
+        for i, j in arcs:
+            if not (1 <= i < j <= ambient):
+                raise MatchingError(f"bad arc ({i}, {j}) on [{ambient}]")
+        self.__dict__.update(arcs=arcs, ambient=ambient)
 
     def endpoints(self) -> frozenset[int]:
         return frozenset(x for arc in self.arcs for x in arc)
@@ -150,19 +150,15 @@ def exchange(a_set: Iterable[int], matching: NestedMatching, chosen: Iterable[Ar
     return A ^ swapped
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(Record):
     """Multicollection of p-subsets of [p+q]; members kept sorted, repeats
     meaning multiplicity."""
 
-    p: int
-    q: int
-    members: tuple[tuple[int, ...], ...]
+    _fields = ("p", "q", "members")
 
-    def __post_init__(self):
-        canon = tuple(sorted(tuple(sorted(m)) for m in self.members))
-        object.__setattr__(self, "members", canon)
-        p, n = self.p, self.p + self.q
+    def __init__(self, p: int, q: int, members: tuple[tuple[int, ...], ...]):
+        canon = tuple(sorted(tuple(sorted(m)) for m in members))
+        n = p + q
         ground = set(range(1, n + 1))
         for m in canon:
             # p elements of which p lie in [n]: p distinct elements of [n]
@@ -171,6 +167,7 @@ class Collection:
             if len(m) != p or len(set(m)) != p:
                 raise MatchingError(f"member {m} is not a {p}-subset")
             raise MatchingError(f"member {m} is not inside [{n}]")
+        self.__dict__.update(p=p, q=q, members=canon)
 
 
 def collection(p: int, q: int, members: Iterable[Iterable[int]]) -> Collection:
@@ -185,12 +182,11 @@ def matching_multiset(coll: Collection) -> Counter:
                     for arcs, alive in _scan(n, coll.q, coll.members)})
 
 
-@dataclass(frozen=True)
-class BalanceResult:
-    balanced: bool
-    witness: NestedMatching | None
-    lhs_count: int
-    rhs_count: int
+class BalanceResult(Record):
+    _fields = ("balanced", "witness", "lhs_count", "rhs_count")
+
+    def __init__(self, balanced: bool, witness: NestedMatching | None, lhs_count: int, rhs_count: int):
+        self.__dict__.update(balanced=balanced, witness=witness, lhs_count=lhs_count, rhs_count=rhs_count)
 
 
 def is_balanced(lhs: Collection, rhs: Collection) -> BalanceResult:
@@ -245,6 +241,11 @@ def parse_collection_pair(text: str) -> tuple[Collection, Collection]:
 
 
 def write_collection_pair(lhs: Collection, rhs: Collection) -> str:
+    """The text :func:`parse_collection_pair` reads.  A member is written as
+    one line of its elements, so the empty member of a p = 0 collection has
+    no line of its own and is refused."""
+    if lhs.p == 0 and (lhs.members or rhs.members):
+        raise MatchingError("a pair file cannot hold the empty member of a p = 0 collection")
     lines = [f"{lhs.p} {lhs.q}"]
     lines += [" ".join(str(x) for x in m) for m in lhs.members]
     lines.append("--")

@@ -9,10 +9,11 @@ construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
+
+from ._record import Record
 
 
 class NetworkError(ValueError):
@@ -24,53 +25,63 @@ SPLIT = "split"
 EXTRA = "extra"
 
 
-class NetworkForm(NamedTuple):
-    """An acyclic network compiled for the flow sweep and the enumerator.
+NetworkForm = namedtuple("NetworkForm", "index succ ancestors charge breaches")
+NetworkForm.__doc__ = """An acyclic network compiled for the flow sweep and the enumerator.
 
     Positions number the vertices in :attr:`PlanarNetwork.order`; ``index``
     maps a vertex to its position, which is also its bit in the ``ancestors``
-    masks.  ``charge`` is the weighting key a path pays at each position, or
-    None: every vertex of an unsplit network pays its own weight; on a split
-    network the weight of an original vertex v is paid at v', the tail of
-    v's split-edge.  :func:`vertex_split` gives v' one out-edge and never
-    makes it a sink, so every path through v' crosses that split-edge.
-    ``breaches`` lists where the table breaks :func:`_charge_breaches`' rule."""
-
-    index: dict[str, int]
-    succ: tuple[tuple[int, ...], ...]  # successor positions, in out() order
-    ancestors: tuple[int, ...]  # positions each position is reachable from, itself included
-    charge: tuple
-    breaches: tuple[str, ...]
+    masks.  ``succ`` holds the successor positions of each position, in
+    ``out()`` order; ``ancestors`` the positions each position is reachable
+    from, itself included.  ``charge`` is the weighting key a path pays at
+    each position, or None: every vertex of an unsplit network pays its own
+    weight; on a split network the weight of an original vertex v is paid at
+    v', the tail of v's split-edge.  :func:`vertex_split` gives v' one
+    out-edge and never makes it a sink, so every path through v' crosses that
+    split-edge.  ``breaches`` lists where the table breaks
+    :func:`_charge_breaches`' rule."""
 
 
-@dataclass(frozen=True)
-class PlanarNetwork:
+class PlanarNetwork(Record):
     """Acyclic digraph with ordered source and sink lists.
 
     ``origins`` is nonempty exactly for networks produced by
     :func:`vertex_split`, and maps each split vertex back to the vertex it
     came from; the kind of every edge follows from it (:meth:`kind`).
-    Coordinates are rendering metadata only.
+    Coordinates are rendering metadata only: equality and hashing ignore
+    them.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    sources: tuple[str, ...]
-    sinks: tuple[str, ...]
-    origins: tuple[tuple[str, str], ...] = ()
-    planarity: str = "constructed"
-    coords: tuple[tuple[str, float, float], ...] = field(default=(), compare=False)
+    _fields = ("vertices", "edges", "sources", "sinks", "origins", "planarity", "coords")
+    _uncompared = ("coords",)
 
-    def __post_init__(self):
-        out = {v: [] for v in self.vertices}
-        inc = {v: [] for v in self.vertices}
-        for tail, head in self.edges:
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        edges: tuple[tuple[str, str], ...],
+        sources: tuple[str, ...],
+        sinks: tuple[str, ...],
+        origins: tuple[tuple[str, str], ...] = (),
+        planarity: str = "constructed",
+        coords: tuple[tuple[str, float, float], ...] = (),
+    ):
+        out = {v: [] for v in vertices}
+        inc = {v: [] for v in vertices}
+        for tail, head in edges:
             if tail in out and head in inc:
                 out[tail].append(head)
                 inc[head].append(tail)
-        object.__setattr__(self, "_out", {v: tuple(sorted(ns)) for v, ns in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(sorted(ns)) for v, ns in inc.items()})
-        object.__setattr__(self, "_origin", dict(self.origins))
+        self.__dict__.update(
+            vertices=vertices,
+            edges=edges,
+            sources=sources,
+            sinks=sinks,
+            origins=origins,
+            planarity=planarity,
+            coords=coords,
+            _out={v: tuple(sorted(ns)) for v, ns in out.items()},
+            _in={v: tuple(sorted(ns)) for v, ns in inc.items()},
+            _origin=dict(origins),
+        )
 
     @property
     def is_split(self) -> bool:

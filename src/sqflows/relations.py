@@ -12,11 +12,11 @@ collections are balanced.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
+from ._record import Record
 from .flows import FlowFunction, undefined_value
 from .matchings import Collection, collection, is_balanced
 from .network import PlanarNetwork
@@ -39,40 +39,35 @@ class RelationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticRelation:
-    p: int
-    q: int
-    lhs: Collection
-    rhs: Collection
+class QuadraticRelation(Record):
+    _fields = ("p", "q", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.p < self.q or self.q < 1:
+    def __init__(self, p: int, q: int, lhs: Collection, rhs: Collection):
+        if p < q or q < 1:
             raise RelationError("relations need p >= q >= 1")
-        for side in (self.lhs, self.rhs):
-            if (side.p, side.q) != (self.p, self.q):
+        for side in (lhs, rhs):
+            if (side.p, side.q) != (p, q):
                 raise RelationError("collection parameters disagree with the relation")
+        self.__dict__.update(p=p, q=q, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(Record):
     """Ground set [n], a spectator set X, and the window Y receiving [p+q]."""
 
-    n: int
-    x_set: frozenset[int]
-    y_list: tuple[int, ...]
+    _fields = ("n", "x_set", "y_list")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_set", frozenset(self.x_set))
-        object.__setattr__(self, "y_list", tuple(sorted(self.y_list)))
-        y = set(self.y_list)
-        if len(y) != len(self.y_list):
+    def __init__(self, n: int, x_set: frozenset[int], y_list: tuple[int, ...]):
+        x_set = frozenset(x_set)
+        y_list = tuple(sorted(y_list))
+        y = set(y_list)
+        if len(y) != len(y_list):
             raise RelationError("Y must not repeat elements")
-        if self.x_set & y:
+        if x_set & y:
             raise RelationError("X and Y must be disjoint")
-        universe = set(range(1, self.n + 1))
-        if not (self.x_set <= universe and y <= universe):
-            raise RelationError(f"X and Y must lie inside [{self.n}]")
+        universe = set(range(1, n + 1))
+        if not (x_set <= universe and y <= universe):
+            raise RelationError(f"X and Y must lie inside [{n}]")
+        self.__dict__.update(n=n, x_set=x_set, y_list=y_list)
 
     def index_sets(self, a_set: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
         """I(A) = X u gamma(A) and J(A) = X u gamma([|Y|] - A), gamma the

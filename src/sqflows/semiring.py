@@ -13,8 +13,8 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 class SemiringError(ValueError):
