@@ -12,11 +12,11 @@ report in {"schema": 1, "command", "ok", "data"}.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 from . import counterexample as cx
 from . import doubleflow as dfmod
@@ -381,8 +381,8 @@ def cmd_doubleflow_audit(args) -> int:
 
 # Each command: its help and its arguments as (flag, keywords) for
 # ``add_argument``; every command also takes --format.  The handler of
-# "check-balance" is ``cmd_check_balance``, looked up when the parser is
-# built, so that a wrapper set on this module in the meantime is the one run.
+# "check-balance" is ``cmd_check_balance``, looked up when the arguments are
+# read, so that a wrapper set on this module in the meantime is the one run.
 _COMMANDS = {
     "check-balance": (
         "decide balancedness of a collection pair",
@@ -462,33 +462,85 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone: each
-    ``add_argument`` builds a help formatter, so a call pays only for the
-    arguments of the command it runs."""
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+
+
+def _handler(name: str):
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
+def _read(argv):
+    """The arguments of a plain call, as argparse would parse them, read from
+    ``_COMMANDS``; None for anything else, which is left to argparse.
+
+    A plain call is the exact name of a command, then its positionals and
+    options.  Each option is given at most once, by its exact flag, with its
+    value as the next token.  No other token starts with "-", and every value
+    passes its type and choices.  So help, errors, abbreviations,
+    ``--opt=value``, attached short values, ``--`` and negative values all
+    reach argparse, and every help and error text is its own."""
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        return None
+    arguments = (*_COMMANDS[name][1], _FORMAT)
+    options = {flag for flag, _ in arguments if flag.startswith("-")}
+    given, values = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            value = next(tokens, "-")
+            if token in given or value.startswith("-"):
+                return None
+            given[token] = value
+        elif token.startswith("-"):
+            return None
+        else:
+            values.append(token)
+    values = iter(values)
+    args = {"command": name, "func": _handler(name)}
+    for flag, keywords in arguments:
+        # argparse's dest: the given one, else the flag without its dashes
+        dest = keywords.get("dest") or flag.lstrip("-").replace("-", "_")
+        value = given.get(flag) if flag in options else next(values, None)
+        if value is None:
+            if flag not in options or keywords.get("required"):
+                return None
+            args[dest] = keywords.get("default")
+            continue
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        args[dest] = value
+    if next(values, None) is not None:
+        return None
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of every command, built from ``_COMMANDS``: only
+    help and errors need it, so argparse is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sqflows",
         description="Flow-generated functions over semirings and their quadratic relations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, arguments = _COMMANDS[name]
+    for name, (help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, keywords in arguments:
+        for flag, keywords in (*arguments, _FORMAT):
             p.add_argument(flag, **keywords)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        p.set_defaults(func=_handler(name))
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = build_parser(command).parse_known_args(argv)
-    if extra:
-        # the full parser rejects them, its usage line naming every command
-        args = build_parser().parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -126,6 +126,33 @@ class LaurentExpression(Record):
         return {deg for mono in self.monomials for _, deg in mono}
 
 
+# Swaps bytes 128 and 255: a field's byte is 128 + its degree, and a zero
+# degree must sort after every nonzero one.
+_ORDER = bytes(range(128)) + b"\xff" + bytes(range(129, 255)) + b"\x80"
+
+
+def _sorted_monomials(packed: Iterable[int], fields: list[Interval]) -> tuple[Monomial, ...]:
+    """The monomials of packed degrees, sorted: field k of an int is its
+    byte k, 128 + the degree of ``fields[k]``, and degrees lie in [-4, 4].
+
+    Each int is kept as a key: its fields as bytes, the trailing zero degrees
+    stripped, and a zero degree mapped to byte 255.  Sorting the keys sorts
+    the monomials, the tuples of their nonzero (interval, degree) pairs.  At
+    the first field where two keys differ, either both degrees are nonzero,
+    and compare as the monomials' pairs there do; or one is zero, and that
+    monomial's next pair has a later interval, so it sorts after the other,
+    as its byte 255 does; or one key ends, and that monomial is a prefix of
+    the other and sorts first, as its key does.  A key decodes through one
+    shared (interval, degree) pair per field and degree."""
+    size = len(fields)
+    offset = int.from_bytes(bytes([128]) * size, "little")
+    keys = [(offset + degrees).to_bytes(size, "little").rstrip(b"\x80").translate(_ORDER) for degrees in packed]
+    keys.sort()
+    # tables[k][b]: the pair of field k at byte b, None for a zero degree
+    tables = [[None] * 124 + [(iv, d) if d else None for d in range(-4, 5)] + [None] * 123 for iv in fields]
+    return tuple(tuple(filter(None, map(list.__getitem__, tables, key))) for key in keys)
+
+
 def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
     """Expand f(A) on the half-grid as a sum of interval Laurent monomials:
     one monomial per flag flow, obtained by substituting the weight quotients
@@ -152,13 +179,8 @@ def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
             packed[half_grid_vertex(i, j)] = sum(1 << shift[iv] for iv in num if iv) - sum(
                 1 << shift[iv] for iv in den if iv
             )
-    size = len(fields)
-    offset = int.from_bytes(bytes([128]) * size, "little")
-    monos = []
-    for degrees in list_flows(build_half_grid(n), A, None, lambda path: sum([packed[v] for v in path])):
-        raw = (offset + sum(degrees)).to_bytes(size, "little")
-        monos.append(tuple([(iv, b - 128) for iv, b in zip(fields, raw) if b != 128]))
-    return LaurentExpression(monomials=tuple(sorted(monos)))
+    flows = list_flows(build_half_grid(n), A, None, lambda path: sum([packed[v] for v in path]))
+    return LaurentExpression(monomials=_sorted_monomials(map(sum, flows), fields))
 
 
 def reconstruct_from_intervals(

@@ -124,6 +124,8 @@ def _scan(n: int, q: int, copies: tuple[Iterable[int], ...] | None) -> list[tupl
 def enumerate_feasible_matchings(a_set: Iterable[int], p: int, q: int) -> tuple[NestedMatching, ...]:
     """All feasible matchings for the p-subset A of [p+q], each exactly once,
     in a fixed order."""
+    if p < 0 or q < 0:
+        raise MatchingError(f"p and q must be nonnegative, not {p} and {q}")
     A = frozenset(a_set)
     n = p + q
     if len(A) != p or not A <= set(range(1, n + 1)):
@@ -134,6 +136,8 @@ def enumerate_feasible_matchings(a_set: Iterable[int], p: int, q: int) -> tuple[
 def enumerate_nested_matchings(n: int, q: int) -> tuple[NestedMatching, ...]:
     """All q-arc matchings on [n] satisfying the nesting and covering
     conditions, regardless of any coloring."""
+    if n < 0 or q < 0:
+        raise MatchingError(f"n and q must be nonnegative, not {n} and {q}")
     return tuple(NestedMatching(arcs, n) for arcs, _ in _scan(n, q, None))
 
 

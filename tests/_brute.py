@@ -3,13 +3,18 @@
 These deliberately avoid the production algorithms: path systems come from a
 plain all-simple-paths DFS over every sink pairing, matchings from endpoint
 subsets times all pairings, determinants from cofactor or Leibniz expansion,
-Laurent monomials from a Counter of interval degrees per flow.
+Laurent monomials from a Counter of interval degrees per flow.  One oracle,
+``tuple_laurent``, shares the flow listing with production and checks only
+the decoding and sorting of the expansion.
 """
 
 from collections import Counter
 from itertools import combinations, permutations
 
+from sqflows.flows import list_flows
+from sqflows.laurent import _weight_ratio, intervals
 from sqflows.matchings import NestedMatching, is_feasible
+from sqflows.network import build_half_grid, half_grid_vertex
 
 
 def all_simple_paths(net, start, goal):
@@ -84,6 +89,28 @@ def naive_laurent(net, A):
             for name in path:
                 total.update(_interval_degrees(*map(int, name.split(","))))
         monos.append(tuple(sorted((iv, d) for iv, d in total.items() if d)))
+    return sorted(monos)
+
+
+def tuple_laurent(n, A):
+    """The monomials of f(A) on the half-grid of size n, each flow's packed
+    degrees (as ``laurent_expand`` packs them) decoded one field at a time
+    into its tuple of nonzero (interval, degree) pairs, the tuples sorted."""
+    fields = sorted(intervals(n))
+    shift = {iv: 8 * k for k, iv in enumerate(fields)}
+    packed = {}
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            num, den = _weight_ratio(i, j)
+            packed[half_grid_vertex(i, j)] = sum(1 << shift[iv] for iv in num if iv) - sum(
+                1 << shift[iv] for iv in den if iv
+            )
+    size = len(fields)
+    offset = int.from_bytes(bytes([128]) * size, "little")
+    monos = []
+    for degrees in list_flows(build_half_grid(n), A, None, lambda path: sum(packed[v] for v in path)):
+        raw = (offset + sum(degrees)).to_bytes(size, "little")
+        monos.append(tuple((iv, b - 128) for iv, b in zip(fields, raw) if b != 128))
     return sorted(monos)
 
 

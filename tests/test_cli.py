@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqflows.cli import build_parser, main
+from sqflows.cli import _COMMANDS, _FORMAT, _read, build_parser, main
 from sqflows.flows import list_flows
 from sqflows.laurent import laurent_expand
 from sqflows.matchings import parse_collection_pair
@@ -366,6 +370,8 @@ PRIMED = "vertex a\nvertex a'\nvertex b\nedge a a'\nedge a' b\nsources a\nsinks 
         (["lindstrom", "--network", "{dir}/fork.net"], {"fork.net": ONE_SOURCE_TWO_SINKS},
          "path matrix needs equally many sources and sinks"),
         (["enumerate-matchings", "-p", "2", "-q", "1", "-A", "1"], {}, "A must be a 2-subset of [3]"),
+        (["enumerate-matchings", "-p", "0", "-q", "-1", "-A", ""], {}, "p and q must be nonnegative"),
+        (["enumerate-matchings", "-p", "1", "-q", "-1", "-A", "1"], {}, "p and q must be nonnegative"),
         (["check-balance", "{dir}/pair.txt"], {"pair.txt": "2 1\n1 x\n--\n1 2\n"}, "bad subset line: '1 x'"),
         (["doubleflow-audit", "--network", "{dir}/primed.net", "-I", "1", "-J", "1"], {"primed.net": PRIMED},
          "vertex ids collide with split names"),
@@ -379,7 +385,8 @@ PRIMED = "vertex a\nvertex a'\nvertex b\nedge a a'\nedge a' b\nsources a\nsinks 
          "check-balance-p-below-q", "counterexample-p-below-q", "verify-p-below-q",
          "check-balance-q-zero", "counterexample-q-zero", "verify-q-zero",
          "polyint-malformed-term", "polyint-signed-factor",
-         "lindstrom-unequal-terminals", "matchings-A-size", "pair-bad-line", "split-name-collision"],
+         "lindstrom-unequal-terminals", "matchings-A-size", "matchings-q-negative",
+         "matchings-q-negative-p-positive", "pair-bad-line", "split-name-collision"],
 )
 def test_input_error_cases(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
@@ -620,10 +627,8 @@ def _commands(parser):
 
 
 def test_command_parser_matches_the_full_parser(pair_files, monkeypatch, capsys):
-    # a call builds only its command's parser; stdout, stderr and exit code
-    # stay those of the parser of every command
+    # stdout, stderr and exit code are those of the parser of every command
     assert _commands(build_parser()) == COMMANDS
-    assert _commands(build_parser("flows")) == ("flows",)
     good, bad = pair_files
     table = [[arg.format(good=good, bad=bad) for arg in argv] for argv in PARSER_ARGV]
     narrow = [_outcome(capsys, argv) for argv in table]
@@ -637,19 +642,20 @@ def test_command_parser_matches_the_full_parser(pair_files, monkeypatch, capsys)
 
 def test_main_reads_sys_argv_and_builds_one_parser(pair_files, monkeypatch, capsys):
     # main(None) reads sys.argv and answers as main(argv) does; either way a
-    # call builds its command's parser, and the full one only for leftovers
+    # plain call builds no parser, and help, no arguments and leftovers the
+    # full one
     good, _ = pair_files
     built = []
 
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
+    def spy():
+        built.append(None)
+        return build_parser()
 
     monkeypatch.setattr("sqflows.cli.build_parser", spy)
     cases = [
-        (["check-balance", good], ["check-balance"]),
-        (["check-balance", good, "--seed", "1"], ["check-balance", None]),
-        (["flows", "--help"], ["flows"]),
+        (["check-balance", good], []),
+        (["check-balance", good, "--seed", "1"], [None]),
+        (["flows", "--help"], [None]),
         (["--help"], [None]),
         ([], [None]),
     ]
@@ -661,3 +667,101 @@ def test_main_reads_sys_argv_and_builds_one_parser(pair_files, monkeypatch, caps
             outcomes.append(_outcome(capsys, call))
             assert built == expected
         assert outcomes[0] == outcomes[1]
+
+
+# values for every argument: ints, choices, index lists, specs, the empty
+# string, and a bad int, a bad choice and a negative value
+GOOD_INTS = ("0", "3", "12")
+TEXTS = ("halfgrid:3", "family:triple", "1,2", "", "json", "tropical", "groebner", "x")
+BAD = ("1.5", "xml", "-3", "-1")
+
+
+@st.composite
+def call_argv(draw):
+    """argv of one command: its arguments, each given or not with a good or
+    bad value, the forms left to argparse mixed in, and the pieces shuffled."""
+    name = draw(st.sampled_from(list(_COMMANDS) + ["check", "--help"]))
+    arguments = (*_COMMANDS[name][1], _FORMAT) if name in _COMMANDS else (_FORMAT,)
+    flags = [flag for flag, _ in arguments if flag.startswith("-")]
+    pieces = []
+    for flag, keywords in arguments:
+        if draw(st.integers(0, 3)) == 0 and not keywords.get("required", not flag.startswith("-")):
+            continue
+        good = keywords.get("choices") or (GOOD_INTS if keywords.get("type") is int else TEXTS)
+        value = draw(st.sampled_from(good) if draw(st.integers(0, 4)) else st.sampled_from(BAD + TEXTS))
+        pieces.append([flag, value] if flag.startswith("-") else [value])
+        if draw(st.integers(0, 9)) == 0:
+            pieces.append(list(pieces[-1]))  # a repeat
+    odd = [["-h"], ["--help"], ["--"], ["extra"], ["--bogus", "1"], ["--format=json"], ["-I1,2"]]
+    odd += [[flag[:-1], "1"] for flag in flags if len(flag) > 3]  # abbreviations
+    odd += [[flag] for flag in flags]  # a flag without its value
+    pieces += draw(st.lists(st.sampled_from(odd), max_size=2))
+    pieces = draw(st.permutations(pieces))
+    return [name] + [token for piece in pieces for token in piece]
+
+
+def _parsed(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(call_argv())
+def test_reader_reads_as_argparse(argv):
+    # the reader gives argparse's attributes or leaves the call to argparse;
+    # it leaves no call to argparse that argparse accepts with exact flags
+    # given once, each with a value, and no other token starting with "-"
+    read, parsed = _read(argv), _parsed(argv)
+    if read is not None:
+        assert parsed is not None and vars(read) == vars(parsed)
+        return
+    flags = [flag for flag, _ in (*_COMMANDS.get(argv[0], ((), ()))[1], _FORMAT) if flag.startswith("-")]
+    rest = argv[1:]
+    plain = all(token in flags or not token.startswith("-") for token in rest)
+    plain = plain and all(rest.count(flag) <= 1 for flag in flags)
+    assert not (parsed is not None and plain), argv
+
+
+# the argv forms of the benchmark's operations (perfbench/workloads.py)
+WORKLOAD_ARGV = [
+    ["verify", "family:triple", "--mode", "numeric", "--network", "halfgrid:9",
+     "--trials", "3", "--jobs", "2", "--seed", "417"],
+    ["verify", "{good}", "--mode", "tropical", "--network", "halfgrid:9",
+     "--trials", "1", "--jobs", "2", "--seed", "0"],
+    ["flows", "--network", "halfgrid:12", "-I", "1,4,6,9,11,12", "--format", "text"],
+    ["flows", "--network", "halfgrid:11", "-I", "1,2,5,7,8,11", "-J", "1,2,3,4,6,9", "--format", "json"],
+    ["laurent", "-n", "10", "-A", "2,3,5,8,10", "--format", "json"],
+    ["doubleflow-audit", "--network", "halfgrid:9", "-I", "2,4,6,9", "-J", "3,5,8",
+     "--phi", "17", "--phi-prime", "0"],
+    ["check-balance", "{good}"],
+    ["counterexample", "{bad}"],
+]
+
+
+def test_reader_reads_every_workload_call(pair_files):
+    good, bad = pair_files
+    for argv in WORKLOAD_ARGV:
+        argv = [arg.format(good=good, bad=bad) for arg in argv]
+        read = _read(argv)
+        assert read is not None, argv
+        assert vars(read) == vars(build_parser().parse_args(argv))
+
+
+def test_argparse_answers_as_the_reader_does(pair_files, monkeypatch, capsys):
+    # with every call left to argparse, main gives the same stdout, stderr
+    # and exit code
+    good, bad = pair_files
+    table = [
+        *PARSER_ARGV,
+        *WORKLOAD_ARGV[-2:],
+        ["verify", "family:triple", "--mode", "numeric", "--network", "halfgrid:4", "--seed", "-3"],
+        ["check-balance", "{good}", "--format=json"],
+        ["flows", "--net", "halfgrid:3", "-I", "1"],
+    ]
+    table = [[arg.format(good=good, bad=bad) for arg in argv] for argv in table]
+    expected = [_outcome(capsys, argv) for argv in table]
+    monkeypatch.setattr("sqflows.cli._read", lambda argv: None)
+    assert [_outcome(capsys, argv) for argv in table] == expected

@@ -4,13 +4,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from _brute import naive_laurent
+from _brute import naive_laurent, tuple_laurent
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqflows.cli import main
 from sqflows.flows import enumerate_flag_flows, evaluate_fgf
 from sqflows.laurent import (
     LaurentError,
     LaurentExpression,
+    _sorted_monomials,
     interval_flow,
     intervals,
     intervals_of,
@@ -166,6 +169,27 @@ def test_expand_matches_counter_oracle():
             expr = laurent_expand(n, a)
             assert list(expr.monomials) == naive_laurent(g, a), (n, a)
             assert expr.degrees() <= set(range(-4, 5)), (n, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_expand_sorts_as_the_decoded_tuples(data):
+    # the byte keys sort and decode to the monomials that decoding every flow
+    # field by field and sorting the tuples gives
+    n = data.draw(st.integers(1, 9), label="n")
+    a = data.draw(st.lists(st.integers(1, n), min_size=1, unique=True).map(sorted), label="A")
+    assert list(laurent_expand(n, a).monomials) == tuple_laurent(n, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((0, 0, 0, -4, -1, 1, 4)), min_size=4, max_size=4), max_size=12))
+def test_byte_keys_sort_as_the_tuples(vectors):
+    # any degree vectors, zero runs and prefixes included: the keys sort as
+    # the tuples of nonzero (interval, degree) pairs
+    fields = sorted(intervals(3))[:4]
+    packed = [sum(d << 8 * k for k, d in enumerate(vector)) for vector in vectors]
+    tuples = sorted(tuple((iv, d) for iv, d in zip(fields, vector) if d) for vector in vectors)
+    assert list(_sorted_monomials(packed, fields)) == tuples
 
 
 def test_expand_evaluates_to_fgf():

@@ -369,6 +369,21 @@ def test_nested_matching_enumeration_no_colors():
     assert all(m.is_nested() and m.free_uncovered() and m.pairwise_disjoint() for m in total)
 
 
+@pytest.mark.parametrize("p, q", [(0, -1), (1, -1), (-1, 2), (-2, -1)])
+def test_feasible_enumeration_rejects_negative_sizes(p, q):
+    # with p + q >= 0 a negative size would reach the scan, or name [p+q]
+    with pytest.raises(MatchingError, match="p and q must be nonnegative"):
+        enumerate_feasible_matchings((), p, q)
+    with pytest.raises(MatchingError, match="p and q must be nonnegative"):
+        enumerate_feasible_matchings((1,), p, q)
+
+
+@pytest.mark.parametrize("n, q", [(4, -1), (-1, 0), (-3, -2)])
+def test_nested_enumeration_rejects_negative_sizes(n, q):
+    with pytest.raises(MatchingError, match="n and q must be nonnegative"):
+        enumerate_nested_matchings(n, q)
+
+
 def test_collection_validation():
     with pytest.raises(MatchingError):
         collection(2, 1, [(1, 2, 3)])
