@@ -167,6 +167,7 @@ def build_gadget_network(m_hat: NestedMatching, connect: bool = False) -> Gadget
         edges=tuple(edges),
         sources=sources,
         sinks=tuple(sinks),
+        planarity="constructed",
         coords=tuple(coords),
     )
     return GadgetNetwork(network=net, matching=m_hat, p=p)

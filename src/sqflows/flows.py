@@ -15,7 +15,9 @@ own stack, so neither path length nor path count is bounded by the
 recursion limit.  Both engines run on the network's compiled form
 (``PlanarNetwork.form``) and share one terminal rule.  Planarity plus the
 boundary order of the terminals force the k-th smallest chosen source to
-feed the k-th chosen sink, so both engines use only that pairing.
+feed the k-th chosen sink, so both engines use only that pairing.  Every
+engine admits a network through :func:`_form`, which refuses one that no
+builder made when ``network.validate`` lists a problem.
 
 A weighting is checked once, where it enters (:func:`_charged`): the weight
 of every vertex on some source -> sink path must be there and be a carrier
@@ -24,8 +26,7 @@ element.  Past that check every engine runs the raw carrier operations.
 Over a ring, two helpers carry the Lindström–Gessel–Viennot lemma: a
 backward pass from a sink gives a path-matrix column (:func:`_column`), and a
 sparse exterior product wedges vectors (:func:`_wedge`).  They serve
-:func:`lindstrom_matrix`, :func:`minor` and :func:`flag_table`, which
-refuses a network with a crossed pairing (``PlanarNetwork.crossed_pairing``).
+:func:`lindstrom_matrix`, :func:`minor` and :func:`flag_table`.
 """
 
 from __future__ import annotations
@@ -71,39 +72,29 @@ class Flow(Record):
 
 
 def _form(net: PlanarNetwork) -> NetworkForm:
-    form = net.form
-    if form is None:
-        raise FlowError("network contains a directed cycle")
-    if form.breaches:
-        raise FlowError("network breaks the charge rule: " + "; ".join(form.breaches))
-    return form
-
-
-def _terminal_form(net: PlanarNetwork, names) -> NetworkForm:
-    """The compiled form, once every terminal in ``names`` is a vertex."""
-    form = _form(net)
-    for v in names:
-        if v not in form.index:
-            raise FlowError(f"terminal {v!r} is not a vertex")
-    return form
+    """The compiled form of a builder's network, or of another one once
+    ``validate`` lists no problem; else FlowError with the CLI's text."""
+    if net.planarity != "constructed" and net.problems:
+        raise FlowError("invalid network: " + "; ".join(net.problems))
+    return net.form
 
 
 def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     """The terminal rule of the sweep and the enumerator, for paths
-    srcs[k] -> dsts[k]: raises FlowError unless every terminal is a vertex,
-    and returns None when two paths share a terminal or a sink is out of its
-    source's reach, since then no path system exists.  Otherwise returns the
-    source and sink positions and, per path, the mask of the positions it may
-    use: those that reach its sink and are no other path's terminal."""
-    form = _terminal_form(net, srcs + dsts)
+    srcs[k] -> dsts[k]: None when a sink is out of its source's reach, since
+    then no path system exists; otherwise the source and sink positions and,
+    per path, the mask of the positions it may use: those that reach its
+    sink and are no other path's terminal.  No two paths share a terminal in
+    a network :func:`_form` admits: sources are distinct, so are sinks, and
+    a source is a sink only as s1 = t1 or as the last of both, which the one
+    path with the smallest (or largest) index in both sets then holds."""
+    form = _form(net)
     index, ancestors = form.index, form.ancestors
     starts = [index[v] for v in srcs]
     ends = [index[v] for v in dsts]
-    terminals = set(starts + ends)
-    shared = len(terminals) < 2 * len(starts) - sum(s == t for s, t in zip(starts, ends))
-    if shared or any(not ancestors[t] >> s & 1 for s, t in zip(starts, ends)):
+    if any(not ancestors[t] >> s & 1 for s, t in zip(starts, ends)):
         return None
-    bits = sum(1 << p for p in terminals)
+    bits = sum(1 << p for p in set(starts + ends))
     return starts, ends, [ancestors[t] & ~(bits & ~(1 << t)) for t in ends]
 
 
@@ -361,10 +352,10 @@ def _charged(net: PlanarNetwork, weighting: Mapping, carrier: Carrier) -> tuple:
     raises.  Dead ends and vertices with no way in need no weight."""
     form = _form(net)
     index = form.index
-    reached = {index[s] for s in net.sources if s in index}
+    reached = {index[s] for s in net.sources}
     to_sink = 0
     for t in net.sinks:
-        to_sink |= form.ancestors[index[t]] if t in index else 0
+        to_sink |= form.ancestors[index[t]]
     paid = []
     for p, key in enumerate(form.charge):
         value = None
@@ -407,8 +398,8 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
 
     # A value is None, the empty product, only until its first payment.  Two
     # unpaid partial systems never meet, and no system ends unpaid: by the
-    # charge rule that _form checks, a path pays at its source or at its
-    # first step.
+    # charge rule, which every network _form admits keeps, a path pays at
+    # its source or at its first step.
     states = {tuple(starts): None}
     for p in range(min(starts), max(ends) + 1):
         w = paid[p]
@@ -513,17 +504,16 @@ def _wedge(vectors, one, mul, add, neg, zero) -> dict:
 
 def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
     """n x n matrix whose (j, i) entry is the path-weight sum from source i to
-    sink j, row j one :func:`_column` pass.  Its minors equal the (I, J)-flow
-    sums only with the terminals in boundary order, which this function does
-    not check (:attr:`PlanarNetwork.crossed_pairing`): a network whose only
-    disjoint system crosses has a 2 x 2 minor of -1.  A terminal that is not
-    a vertex raises FlowError, and so does a weighting that misses a vertex
-    on some source -> sink path."""
+    sink j, row j one :func:`_column` pass.  On an admitted network
+    (:func:`_form`) the terminals lie in boundary order, so its minors are
+    the (I, J)-flow sums.  A network not admitted raises FlowError before
+    any weight is read, and so does a weighting that misses a vertex on some
+    source -> sink path."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     if len(net.sinks) != len(net.sources):
         raise FlowError("path matrix needs equally many sources and sinks")
-    form = _terminal_form(net, net.sources + net.sinks)
+    form = _form(net)
     paid = _charged(net, weighting, carrier)
     index, zero = form.index, carrier.zero
     rows = []
@@ -539,18 +529,16 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
 
     With the terminals in boundary order, Lindström–Gessel–Viennot and
     Cauchy–Binet make the :func:`_wedge` of the :func:`_column` passes of
-    sinks 1..k the sum of f(A) e_A over the k-subsets A; a network with a
-    crossed pairing (:attr:`PlanarNetwork.crossed_pairing`) raises FlowError
-    before any weight is read."""
+    sinks 1..k the sum of f(A) e_A over the k-subsets A; a network that
+    :func:`_form` does not admit raises FlowError before any weight is
+    read."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     if k < 0:
         raise FlowError("flag table needs k >= 0")
     if k > min(len(net.sources), len(net.sinks)):
         return {}
-    form = _terminal_form(net, net.sources + net.sinks[:k])
-    if net.crossed_pairing:
-        raise FlowError(net.crossed_pairing)
+    form = _form(net)
     paid = _charged(net, weighting, carrier)
     one, mul, add = carrier.one, carrier._mul, carrier._add
     rows = [form.index[s] for s in net.sources]

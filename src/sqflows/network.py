@@ -1,9 +1,10 @@
 """Planar acyclic networks: data model, compiled form, half-grid builder,
 vertex split.
 
-Vertex ids are opaque strings (no whitespace).  Planarity of user-supplied
-graphs is declared, never verified; the library builders are planar by
-construction.
+Vertex ids are opaque strings (no whitespace).  A network's ``planarity``
+is "declared" (the default), never verified, or "constructed" for what the
+library builders make, planar and valid by construction; the flow engines
+admit a declared network only once :attr:`PlanarNetwork.problems` is empty.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class PlanarNetwork(Record):
         sources: tuple[str, ...],
         sinks: tuple[str, ...],
         origins: tuple[tuple[str, str], ...] = (),
-        planarity: str = "constructed",
+        planarity: str = "declared",
         coords: tuple[tuple[str, float, float], ...] = (),
     ):
         out = {v: [] for v in vertices}
@@ -198,6 +199,64 @@ class PlanarNetwork(Record):
                     stack.append(after)
         return None
 
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """Structural violations as human-readable strings, computed on first
+        use; empty means accepted.  Planarity is not checked, but a crossed
+        pairing (:attr:`crossed_pairing`), which the flow engines' k-th
+        source to k-th sink rule cannot see, is listed."""
+        problems = []
+        seen = set()
+        for v in self.vertices:
+            if v in seen:
+                problems.append(f"duplicate vertex: {v}")
+            seen.add(v)
+        for label, group in (("source", self.sources), ("sink", self.sinks)):
+            met = set()
+            for v in group:
+                if v in met:
+                    problems.append(f"duplicate {label}: {v}")
+                met.add(v)
+                if v not in seen:
+                    problems.append(f"{label} not a vertex: {v}")
+        for i, s in enumerate(self.sources):
+            for j, t in enumerate(self.sinks):
+                if s == t:
+                    first = i == 0 and j == 0
+                    last = i == len(self.sources) - 1 and j == len(self.sinks) - 1
+                    if not (first or last):
+                        problems.append(f"source s{i + 1} coincides with sink t{j + 1}: {s}")
+        edge_seen = set()
+        for tail, head in self.edges:
+            if tail not in seen:
+                problems.append(f"dangling edge ({tail}, {head}): unknown tail")
+            if head not in seen:
+                problems.append(f"dangling edge ({tail}, {head}): unknown head")
+            if tail == head:
+                problems.append(f"self-loop at {tail}")
+            if (tail, head) in edge_seen:
+                problems.append(f"duplicate edge ({tail}, {head})")
+            edge_seen.add((tail, head))
+        problems.extend(self.form.breaches if self.form else ())
+        if self.crossed_pairing:
+            problems.append(self.crossed_pairing)
+        placed = set(self.order)
+        left = [v for v in dict.fromkeys(self.vertices) if v not in placed]
+        if left:
+            # Each vertex Kahn's order left out has a left-out predecessor, so
+            # walking back from one must repeat a vertex; the walk from there on,
+            # reversed, is a cycle, reported from its first vertex in `vertices`.
+            rank = {v: r for r, v in enumerate(left)}
+            walk, visited = [left[0]], set()
+            while walk[-1] not in visited:
+                visited.add(walk[-1])
+                walk.append(next(u for u in self.into(walk[-1]) if u in rank))
+            cycle = walk[walk.index(walk[-1]) : -1][::-1]
+            first = cycle.index(min(cycle, key=rank.get))
+            cycle = cycle[first:] + cycle[: first + 1]
+            problems.append("cycle: " + " -> ".join(cycle))
+        return tuple(problems)
+
     def original_vertices(self) -> tuple[str, ...]:
         """Pre-split vertex ids, in their original order, for split networks."""
         return tuple(dict.fromkeys(orig for _, orig in self.origins))
@@ -259,6 +318,7 @@ def build_half_grid(n: int) -> PlanarNetwork:
         edges=tuple(edges),
         sources=sources,
         sinks=sinks,
+        planarity="constructed",
         coords=tuple(coords),
     )
 
@@ -295,6 +355,7 @@ def random_grid_network(n: int, rows: int, rng: random.Random) -> PlanarNetwork:
         edges=tuple(edges),
         sources=tuple(name(i, 0) for i in range(1, n + 1)),
         sinks=tuple(name(i, rows) for i in range(1, n + 1)),
+        planarity="constructed",
         coords=tuple(coords),
     )
 
@@ -336,62 +397,9 @@ def vertex_split(net: PlanarNetwork) -> PlanarNetwork:
 
 
 def validate(net: PlanarNetwork) -> list[str]:
-    """Structural violations as human-readable strings; empty means accepted.
-
-    Planarity is not checked (declared by the builder or the user), but a
-    crossed pairing (:attr:`PlanarNetwork.crossed_pairing`), which the flow
-    engines' k-th source to k-th sink rule cannot see, is listed."""
-    problems = []
-    seen = set()
-    for v in net.vertices:
-        if v in seen:
-            problems.append(f"duplicate vertex: {v}")
-        seen.add(v)
-    for label, group in (("source", net.sources), ("sink", net.sinks)):
-        met = set()
-        for v in group:
-            if v in met:
-                problems.append(f"duplicate {label}: {v}")
-            met.add(v)
-            if v not in seen:
-                problems.append(f"{label} not a vertex: {v}")
-    for i, s in enumerate(net.sources):
-        for j, t in enumerate(net.sinks):
-            if s == t:
-                first = i == 0 and j == 0
-                last = i == len(net.sources) - 1 and j == len(net.sinks) - 1
-                if not (first or last):
-                    problems.append(f"source s{i + 1} coincides with sink t{j + 1}: {s}")
-    edge_seen = set()
-    for tail, head in net.edges:
-        if tail not in seen:
-            problems.append(f"dangling edge ({tail}, {head}): unknown tail")
-        if head not in seen:
-            problems.append(f"dangling edge ({tail}, {head}): unknown head")
-        if tail == head:
-            problems.append(f"self-loop at {tail}")
-        if (tail, head) in edge_seen:
-            problems.append(f"duplicate edge ({tail}, {head})")
-        edge_seen.add((tail, head))
-    problems.extend(net.form.breaches if net.form else ())
-    if net.crossed_pairing:
-        problems.append(net.crossed_pairing)
-    placed = set(net.order)
-    left = [v for v in dict.fromkeys(net.vertices) if v not in placed]
-    if left:
-        # Each vertex Kahn's order left out has a left-out predecessor, so
-        # walking back from one must repeat a vertex; the walk from there on,
-        # reversed, is a cycle, reported from its first vertex in `vertices`.
-        rank = {v: r for r, v in enumerate(left)}
-        walk, visited = [left[0]], set()
-        while walk[-1] not in visited:
-            visited.add(walk[-1])
-            walk.append(next(u for u in net.into(walk[-1]) if u in rank))
-        cycle = walk[walk.index(walk[-1]) : -1][::-1]
-        first = cycle.index(min(cycle, key=rank.get))
-        cycle = cycle[first:] + cycle[: first + 1]
-        problems.append("cycle: " + " -> ".join(cycle))
-    return problems
+    """:attr:`PlanarNetwork.problems` as a list: the CLI's check of every
+    network file, and the flow engines' of every "declared" network."""
+    return list(net.problems)
 
 
 def write_network(net: PlanarNetwork) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import reduce
 
 
 class SemiringError(ValueError):
@@ -120,14 +121,13 @@ class Carrier:
         return acc
 
     def product(self, values: Iterable):
-        acc = None
-        for v in values:
-            acc = v if acc is None else self.mul(acc, v)
-        if acc is None:
-            if not self.has_one:
-                raise SemiringError(f"empty product is undefined in {self.name}")
-            return self.one
-        return acc
+        values = tuple(values)
+        self.check(*values)  # every factor once, a single one too
+        if values:
+            return reduce(self._mul, values)
+        if not self.has_one:
+            raise SemiringError(f"empty product is undefined in {self.name}")
+        return self.one
 
     def parse(self, text: str):
         try:

@@ -626,15 +626,12 @@ def _commands(parser):
     return tuple(commands)
 
 
-def test_command_parser_matches_the_full_parser(pair_files, monkeypatch, capsys):
-    # stdout, stderr and exit code are those of the parser of every command
+def test_command_parser_matches_the_full_parser(pair_files, capsys):
+    # the full parser has the command table's commands, and an unrecognized
+    # argument gets its error, with the usage line of every command
     assert _commands(build_parser()) == COMMANDS
-    good, bad = pair_files
-    table = [[arg.format(good=good, bad=bad) for arg in argv] for argv in PARSER_ARGV]
-    narrow = [_outcome(capsys, argv) for argv in table]
-    monkeypatch.setattr("sqflows.cli.build_parser", lambda command=None: build_parser())
-    assert [_outcome(capsys, argv) for argv in table] == narrow
-    code, _, err = narrow[PARSER_ARGV.index(["check-balance", "{good}", "--seed", "1"])]
+    good, _ = pair_files
+    code, _, err = _outcome(capsys, ["check-balance", good, "--seed", "1"])
     assert code == 2
     assert "{" + ",".join(COMMANDS) + "}" in err
     assert err.endswith("sqflows: error: unrecognized arguments: --seed 1\n")

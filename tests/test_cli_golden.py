@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 from sqflows.cli import main
+from sqflows.flows import FlowError, evaluate_fgf
+from sqflows.network import parse_network
+from sqflows.semiring import EXACT_INT
 
 BALANCED = "2 1\n1 3\n--\n1 2\n2 3\n"
 UNBALANCED = "2 1\n1 2\n--\n1 3\n"
@@ -239,8 +242,13 @@ def test_missing_weights_name_the_first_in_topological_order(tmp_path, monkeypat
     assert (code, out, err.getvalue()) == (2, "", "error: weighting is missing vertex '3,1'\n")
 
 
-@pytest.mark.parametrize("command", ["flows --network crossed.net -I 1,2", "lindstrom --network crossed.net"])
+@pytest.mark.parametrize(
+    "command",
+    ["flows --network crossed.net -I 1,2", "lindstrom --network crossed.net",
+     "doubleflow-audit --network crossed.net -I 1,2 -J 1"],
+)
 def test_crossed_network_names_the_pairing(command, tmp_path, monkeypatch):
+    # the CLI's error is the library's, behind "error: "
     monkeypatch.chdir(tmp_path)
     _write_inputs(tmp_path)
     err = io.StringIO()
@@ -251,6 +259,9 @@ def test_crossed_network_names_the_pairing(command, tmp_path, monkeypatch):
         "(a -> d, b -> c)\n"
     )
     assert (code, out, err.getvalue()) == (2, "", message)
+    with pytest.raises(FlowError) as raised:
+        evaluate_fgf(parse_network(CROSSED), {}, {1, 2}, EXACT_INT)
+    assert f"error: {raised.value}\n" == message
 
 
 if __name__ == "__main__":

@@ -10,8 +10,15 @@ from _brute import all_simple_paths
 import sqflows.doubleflow as dfmod
 from sqflows.cli import main
 from sqflows.counterexample import augment_matching, build_gadget_network
-from sqflows.flows import FlowError, FlowFunction, enumerate_flag_flows
-from sqflows.matchings import enumerate_nested_matchings
+from sqflows.flows import (
+    FlowError,
+    FlowFunction,
+    enumerate_flag_flows,
+    flag_table,
+    lindstrom_matrix,
+    list_flows,
+)
+from sqflows.matchings import NestedMatching, enumerate_nested_matchings
 from sqflows.network import (
     EXTRA,
     ORDINARY,
@@ -331,6 +338,7 @@ def test_builders_splits_and_subnetworks_keep_the_charge_rule(monkeypatch):
     assert len(nets) == 43
     for net in nets:
         split = vertex_split(net)
+        assert net.planarity == split.planarity == "constructed"
         assert validate(net) == validate(split) == []
         assert net.form.breaches == split.form.breaches == ()
         assert {e: net.kind(e) for e in net.edges} == dict.fromkeys(net.edges, ORDINARY)
@@ -346,6 +354,7 @@ def test_builders_splits_and_subnetworks_keep_the_charge_rule(monkeypatch):
                     dfmod.count_decompositions(dfmod.superpose(phis[0], phis_prime[-1]))
     assert len(subnetworks) == 306
     for sub in subnetworks:
+        assert sub.planarity == "constructed"
         assert sub.form.breaches == ()
         assert sub.crossed_pairing is None
 
@@ -371,7 +380,7 @@ def test_unpaid_path_is_rejected():
     f = FlowFunction(net, {"x": 2, "y": 3}, EXACT_INT)
     runs = (lambda: f({1}), lambda: enumerate_flag_flows(net, {1}), lambda: symbolic_check(family_triple(), net))
     for run in runs:
-        with pytest.raises(FlowError, match="breaks the charge rule: source s1 pays no weight"):
+        with pytest.raises(FlowError, match="^invalid network: source s1 pays no weight"):
             run()
 
 
@@ -405,9 +414,16 @@ def test_crossed_pairing_matches_brute_force(size, data):
 
 
 def test_crossed_pairing_is_computed_on_demand():
-    # compiling the form, which every flow call does, leaves the verdict alone
-    net = build_half_grid(6)
-    assert net.form is not None and "crossed_pairing" not in vars(net)
-    FlowFunction(net, dict.fromkeys(net.vertices, 1), EXACT_INT)({1, 3})
-    assert "crossed_pairing" not in vars(net)
-    assert validate(net) == [] and vars(net)["crossed_pairing"] is None
+    # the engines admit a builder's network unchecked: no flow call computes
+    # its problems or the verdict, which validate then computes
+    gadget = build_gadget_network(NestedMatching(((1, 4), (2, 3)), 4)).network
+    grid = random_grid_network(5, 3, random.Random(2))
+    for net in (build_half_grid(6), gadget, grid, vertex_split(build_half_grid(4))):
+        ones = dict.fromkeys(net.original_vertices() or net.vertices, 1)
+        FlowFunction(net, ones, EXACT_INT)({1, 3})
+        assert list_flows(net, {1, 2}, None, tuple).count() > 0
+        assert flag_table(net, ones, EXACT_INT, 2)
+        if len(net.sources) == len(net.sinks):
+            lindstrom_matrix(net, ones, EXACT_INT)
+        assert net.form is not None and not {"problems", "crossed_pairing"} & set(vars(net))
+        assert validate(net) == [] and vars(net)["crossed_pairing"] is None

@@ -135,7 +135,7 @@ def test_positional_and_keyword_construction(cls):
 
 def test_planar_network_defaults():
     net = PlanarNetwork(("s", "t"), (("s", "t"),), ("s",), ("t",))
-    assert (net.origins, net.planarity, net.coords) == ((), "constructed", ())
+    assert (net.origins, net.planarity, net.coords) == ((), "declared", ())
     with pytest.raises(TypeError):
         PlanarNetwork(("s", "t"), (("s", "t"),), ("s",))
 

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqflows.flows import enumerate_flag_flows, flow_weight
+from sqflows.laurent import intervals_of
+from sqflows.network import build_half_grid
 from sqflows.semiring import (
     CARRIERS,
     COUNTING_NAT,
@@ -142,6 +145,21 @@ def test_carrier_mismatch():
         POLY_NAT.add(Poly.variable("x"), -Poly.variable("x"))
     with pytest.raises(CarrierMismatch):
         TROPICAL_INT.add(1, Fraction(1, 2))
+
+
+def test_product_checks_every_factor():
+    # a one-factor product is checked too, so a one-vertex flow and a
+    # one-vertex interval cannot pass a foreign weight through
+    for values in (["x"], [2, "x"], ["x", 2, 3]):
+        with pytest.raises(CarrierMismatch, match="^'x' is not an element of int$"):
+            EXACT_INT.product(values)
+    assert EXACT_INT.product(iter([2, 3, 5])) == 30 and EXACT_INT.product([]) == 1
+    g = build_half_grid(2)
+    (flow,) = enumerate_flag_flows(g, {1})
+    with pytest.raises(CarrierMismatch, match="^'x' is not an element of int$"):
+        flow_weight(g, {"1,1": "x"}, flow, EXACT_INT)
+    with pytest.raises(CarrierMismatch, match=r"^Fraction\(-1, 1\) is not an element of posrat$"):
+        intervals_of({"1,1": Fraction(-1)}, 1, POSITIVE_RATIONAL)
 
 
 def test_division_unsupported():

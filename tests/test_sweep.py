@@ -24,11 +24,12 @@ from sqflows.flows import (
     flag_table,
     flow_weight,
     lindstrom_matrix,
+    list_flows,
     undefined_value,
 )
-from sqflows.matchings import enumerate_nested_matchings
+from sqflows.matchings import collection, enumerate_nested_matchings
 from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, vertex_split
-from sqflows.relations import random_weighting
+from sqflows.relations import QuadraticRelation, random_weighting, symbolic_check
 from sqflows.semiring import (
     CARRIERS,
     COUNTING_NAT,
@@ -46,7 +47,7 @@ PLAIN = tuple(CARRIERS.values())
 ALL_CARRIERS = PLAIN + tuple(Starred(c) for c in PLAIN)
 
 # sources a, b and sinks c, d with the disjoint system a -> d, b -> c only:
-# the forced k-th source to k-th sink pairing admits no flag flow for {1, 2}
+# a crossed pairing, which the k-th source to k-th sink rule cannot see
 CROSSED = PlanarNetwork(
     vertices=("a", "b", "c", "d"),
     edges=(("a", "d"), ("b", "c")),
@@ -54,6 +55,19 @@ CROSSED = PlanarNetwork(
     sinks=("c", "d"),
     planarity="declared",
 )
+CROSSED_TEXT = (
+    "invalid network: crossed pairing: s1 -> t2 and s2 -> t1 have vertex-disjoint paths (a -> d, b -> c)"
+)
+# the second source and the second sink are no vertices
+STRAY = PlanarNetwork(vertices=("a", "b"), edges=(("a", "b"),), sources=("a", "x"), sinks=("b", "y"))
+STRAY_TEXT = "invalid network: source not a vertex: x; sink not a vertex: y"
+
+
+def refused(call, text):
+    """``call()`` raises FlowError with exactly ``text``."""
+    with pytest.raises(FlowError) as raised:
+        call()
+    assert str(raised.value) == text
 
 
 def _gadgets():
@@ -215,29 +229,43 @@ def test_edge_cases(carrier):
     w = random_weighting(grid.vertices, carrier, random.Random(2))
     assert not enumerate_flag_flows(grid, {2, 3})
     assert same(evaluate_fgf(grid, w, {2, 3}, carrier), undefined_value(carrier))
-    # non-planar input: both engines keep the forced pairing
+    # a crossed pairing: neither engine answers, on any I
     w = random_weighting(CROSSED.vertices, carrier, random.Random(3))
     for I in ({1}, {2}, {1, 2}):
-        assert same(evaluate_fgf(CROSSED, w, I, carrier), enumerated(CROSSED, w, I, carrier))
-    assert same(evaluate_fgf(CROSSED, w, {1, 2}, carrier), undefined_value(carrier))
+        refused(lambda: evaluate_fgf(CROSSED, w, I, carrier), CROSSED_TEXT)
+        refused(lambda: enumerate_flag_flows(CROSSED, I), CROSSED_TEXT)
 
 
 def test_crossed_network_path_matrix():
+    # its 2 x 2 minor would be -1, though the crossed system exists
     ones = {v: 1 for v in CROSSED.vertices}
-    assert lindstrom_matrix(CROSSED, ones, EXACT_INT) == ((0, 1), (1, 0))
+    refused(lambda: lindstrom_matrix(CROSSED, ones, EXACT_INT), CROSSED_TEXT)
 
 
 def test_terminal_that_is_not_a_vertex():
-    net = PlanarNetwork(vertices=("a", "b"), edges=(("a", "b"),), sources=("a", "x"), sinks=("b", "y"))
+    # the whole network is checked, not only the terminals of the call
     ones = {"a": 1, "b": 1}
-    assert evaluate_fgf(net, ones, {1}, COUNTING_NAT) == 1
-    for I in ({2}, {1, 2}):
-        with pytest.raises(FlowError, match="not a vertex"):
-            enumerate_flag_flows(net, I)
-        with pytest.raises(FlowError, match="not a vertex"):
-            evaluate_fgf(net, ones, I, COUNTING_NAT)
-    with pytest.raises(FlowError, match="not a vertex"):
-        lindstrom_matrix(net, ones, EXACT_INT)
+    for I in ({1}, {2}, {1, 2}):
+        refused(lambda: enumerate_flag_flows(STRAY, I), STRAY_TEXT)
+        refused(lambda: evaluate_fgf(STRAY, ones, I, COUNTING_NAT), STRAY_TEXT)
+    refused(lambda: lindstrom_matrix(STRAY, ones, EXACT_INT), STRAY_TEXT)
+
+
+@pytest.mark.parametrize("net, text", [(CROSSED, CROSSED_TEXT), (STRAY, STRAY_TEXT)], ids=["crossed", "stray"])
+def test_every_engine_refuses_before_reading_weights(net, text):
+    # the weighting is empty, so any weight read would raise another error
+    relation = QuadraticRelation(1, 1, collection(1, 1, [(1,)]), collection(1, 1, [(2,)]))
+    for call in (
+        lambda: evaluate_fgf(net, {}, {1}, EXACT_INT),
+        lambda: FlowFunction(net, {}, EXACT_INT)({1, 2}),
+        lambda: list_flows(net, {1}, None, tuple),
+        lambda: enumerate_flag_flows(net, {1, 2}),
+        lambda: enumerate_flows(net, {1}, {2}),
+        lambda: lindstrom_matrix(net, {}, EXACT_INT),
+        lambda: flag_table(net, {}, EXACT_INT, 1),
+        lambda: symbolic_check(relation, net),
+    ):
+        refused(call, text)
 
 
 def test_cycle_and_bad_indices():
@@ -349,18 +377,31 @@ def test_several_bad_weights_raise_at_the_first_in_topological_order():
 
 
 def test_terminals_shared_between_paths():
-    # a vertex that is a terminal of two paths admits no disjoint system
+    # a vertex that could be a terminal of two paths makes the network
+    # invalid: s2 = t1 (which here also crosses), or a repeated source
     chain = PlanarNetwork(
         vertices=("a", "b", "c"), edges=(("a", "b"), ("b", "c"), ("a", "c")), sources=("a", "b"), sinks=("b", "c")
     )
     twice = PlanarNetwork(
         vertices=("a", "b", "c"), edges=(("a", "b"), ("a", "c")), sources=("a", "a"), sinks=("b", "c")
     )
-    for net in (chain, twice):
+    texts = (
+        "invalid network: source s2 coincides with sink t1: b; crossed pairing: s1 -> t2 and s2 -> t1 have "
+        "vertex-disjoint paths (a -> c, b -> b)",
+        "invalid network: duplicate source: a",
+    )
+    for net, text in zip((chain, twice), texts):
         ones = {v: 1 for v in net.vertices}
         for I in ({1}, {2}, {1, 2}):
-            assert same(evaluate_fgf(net, ones, I, COUNTING_NAT), enumerated(net, ones, I, COUNTING_NAT))
-        assert evaluate_fgf(net, ones, {1, 2}, COUNTING_NAT) == 0
+            refused(lambda: evaluate_fgf(net, ones, I, COUNTING_NAT), text)
+            refused(lambda: enumerate_flag_flows(net, I), text)
+    # the last source may be the last sink: one path then holds both
+    ends = PlanarNetwork(
+        vertices=("a", "b", "c"), edges=(("a", "b"), ("a", "c")), sources=("a", "b"), sinks=("c", "b")
+    )
+    weights = {"a": 2, "b": 3, "c": 5}
+    for I, value in (({1}, 10), ({2}, 0), ({1, 2}, 30)):
+        assert evaluate_fgf(ends, weights, I, EXACT_INT) == value == enumerated(ends, weights, I, EXACT_INT)
 
 
 def test_weights_are_checked_once(monkeypatch):
@@ -413,8 +454,7 @@ def test_flag_table_matches_sweep_and_brute_force(case):
 def test_flag_table_refusals():
     ones = {v: 1 for v in CROSSED.vertices}
     for k in (0, 1, 2):
-        with pytest.raises(FlowError, match="^crossed pairing: s1 -> t2 and s2 -> t1 have vertex-disjoint"):
-            flag_table(CROSSED, ones, EXACT_INT, k)
+        refused(lambda: flag_table(CROSSED, ones, EXACT_INT, k), CROSSED_TEXT)
     g = build_half_grid(3)
     for carrier in PLAIN:
         if not carrier.is_ring:
@@ -427,9 +467,7 @@ def test_flag_table_refusals():
     )
     with pytest.raises(FlowError, match="cycle"):
         flag_table(cyclic, dict.fromkeys(cyclic.vertices, 1), EXACT_INT, 1)
-    stray = PlanarNetwork(vertices=("a", "b"), edges=(("a", "b"),), sources=("a", "x"), sinks=("b", "y"))
-    with pytest.raises(FlowError, match="terminal 'x' is not a vertex"):
-        flag_table(stray, {"a": 1, "b": 1}, EXACT_INT, 1)
+    refused(lambda: flag_table(STRAY, {"a": 1, "b": 1}, EXACT_INT, 1), STRAY_TEXT)
     # no k-subset, or more sources than sinks: nothing to list
     assert flag_table(g, dict.fromkeys(g.vertices, 1), EXACT_INT, 4) == {}
     assert flag_table(g, dict.fromkeys(g.vertices, 1), EXACT_INT, 0) == {0: 1}
