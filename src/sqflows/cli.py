@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from . import counterexample as cx
@@ -24,7 +25,7 @@ from . import laurent as laurmod
 from . import matchings as mt
 from . import network as nw
 from . import relations as rel
-from .flows import FlowFunction, enumerate_flag_flows, lindstrom_matrix, list_flows
+from .flows import Flow, FlowFunction, lindstrom_matrix, list_flows
 from .semiring import CARRIERS
 
 
@@ -358,15 +359,18 @@ def cmd_doubleflow_audit(args) -> int:
         net = nw.vertex_split(net)
     I = _int_list(args.i_set)
     J = _int_list(args.j_set)
-    phis = enumerate_flag_flows(net, I)
-    phis_prime = enumerate_flag_flows(net, J)
-    if not phis or not phis_prime:
+    listings = [list_flows(net, S, None, tuple) for S in (I, J)]
+    sizes = [listing.count() for listing in listings]
+    if not all(sizes):
         raise CliError("one of the index sets admits no flag flow")
-    if not 0 <= args.phi < len(phis) or not 0 <= args.phi_prime < len(phis_prime):
-        raise CliError(
-            f"flow indices out of range (|Phi_I| = {len(phis)}, |Phi_J| = {len(phis_prime)})"
-        )
-    df = dfmod.superpose(phis[args.phi], phis_prime[args.phi_prime])
+    if not 0 <= args.phi < sizes[0] or not 0 <= args.phi_prime < sizes[1]:
+        raise CliError(f"flow indices out of range (|Phi_I| = {sizes[0]}, |Phi_J| = {sizes[1]})")
+    # only the two chosen flows are built; list_flows has checked I and J
+    phi, phi_prime = (
+        Flow(next(islice(listing, at, None)), tuple(sorted(S)), tuple(range(1, len(S) + 1)), net)
+        for listing, at, S in zip(listings, (args.phi, args.phi_prime), (I, J))
+    )
+    df = dfmod.superpose(phi, phi_prime)
     dec = dfmod.decompose(df)
     count = dfmod.count_decompositions(df)
     lines = [

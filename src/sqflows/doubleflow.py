@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 from ._record import Record
-from .flows import Flow, enumerate_flag_flows
+from .flows import Flow, list_flows
 from .matchings import NestedMatching, exchange, is_feasible
 from .network import SPLIT, PlanarNetwork
 from .relations import Instantiation
@@ -215,6 +215,10 @@ def decompose(df: DoubleFlow) -> Decomposition:
     )
 
 
+def _edge_set(path: tuple[str, ...]) -> frozenset[tuple[str, str]]:
+    return frozenset(zip(path, path[1:]))
+
+
 def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     """Number of flag-flow pairs for (I(A), J(A)) whose superposition is xi.
 
@@ -227,10 +231,10 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     edges = tuple(e for e in net.edges if e in xi)
     sub = PlanarNetwork(net.vertices, edges, net.sources, net.sinks, net.origins, net.planarity, net.coords)
     singles, doubles = frozenset(df.level_edges(1)), frozenset(df.level_edges(2))
-    seconds = {frozenset(psi_prime.edges()) for psi_prime in enumerate_flag_flows(sub, J)}
+    seconds = {frozenset().union(*psi_prime) for psi_prime in list_flows(sub, J, None, _edge_set)}
     count = 0
-    for psi in enumerate_flag_flows(sub, I):
-        used = frozenset(psi.edges())
+    for psi in list_flows(sub, I, None, _edge_set):
+        used = frozenset().union(*psi)
         if doubles <= used and (singles - used) | doubles in seconds:
             count += 1
     return count

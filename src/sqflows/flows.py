@@ -7,14 +7,14 @@ multiplication.  Enumeration lists the flows themselves, for the commands and
 modules that output every flow (``flows``, double flows, Laurent expansion).
 It builds a DAG of path choices once per listing: node (k, key) holds the
 ways path k can continue a system whose first k paths took the positions
-``key``, counted only where paths k, k+1, ... may still go.  Each node reads
-its paths off a trie of path k's paths that grows on first visit, so a path
-is found once and labelled once per listing, however many nodes and flows
-share it; then the DAG is counted or walked in order.  Every phase keeps its
-own stack, so neither path length nor path count is bounded by the
-recursion limit.  Both engines run on the network's compiled form
-(``PlanarNetwork.form``) and share one terminal rule.  Planarity plus the
-boundary order of the terminals force the k-th smallest chosen source to
+``key``, counted only where paths k, k+1, ... may still go.  The DAG grows a
+level at a time: one walk of path k's paths serves every node of level k,
+so a path is found once per level and labelled once per listing, however
+many nodes and flows share it; then the DAG is counted or walked in order.
+Every phase keeps its own stack, so neither path length nor path count is
+bounded by the recursion limit.  Both engines run on the network's compiled
+form (``PlanarNetwork.form``) and share one terminal rule.  Planarity plus
+the boundary order of the terminals force the k-th smallest chosen source to
 feed the k-th chosen sink, so both engines use only that pairing.  Every
 engine admits a network through :func:`_form`, which refuses one that no
 builder made when ``network.validate`` lists a problem.
@@ -98,66 +98,6 @@ def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
     return starts, ends, [ancestors[t] & ~(bits & ~(1 << t)) for t in ends]
 
 
-def _trie_paths(root: list, succ, end: int, allowed: int, key: int, keep: int) -> list:
-    """Every path of the trie under ``root`` that reaches ``end`` and avoids
-    the positions in ``key``, in ``succ`` order, each as (its leaf, the
-    positions taken after it, masked by ``keep``).
-
-    A trie node is [position, parent node, kids], kids None until the first
-    visit; then an inner node lists its successors inside ``allowed``, last
-    first, and the leaf at ``end`` holds [the path's position mask, its label
-    or _ABSENT until :func:`_label` runs].  Only leaves hold a mask, so a
-    long path costs no mask per step.  The walk goes on down the first free
-    child and stacks the others."""
-    found = []
-    stack = [root]
-    push = stack.append
-    while stack:
-        node = stack.pop()
-        while True:
-            p, kids = node[0], node[2]
-            if p == end:
-                if kids is None:
-                    mask, frame = 0, node
-                    while frame is not None:
-                        mask |= 1 << frame[0]
-                        frame = frame[1]
-                    kids = node[2] = [mask, _ABSENT]
-                found.append((node, (key | kids[0]) & keep))
-                break
-            if kids is None:
-                kids = node[2] = [[u, node, None] for u in reversed(succ[p]) if allowed >> u & 1]
-            down = None
-            for child in kids:
-                if not key >> child[0] & 1:
-                    if down is not None:
-                        push(down)
-                    down = child
-            if down is None:
-                break
-            node = down
-    return found
-
-
-def _names(node, order) -> tuple[str, ...]:
-    """The vertex names of the path that ends in trie ``node``, first to
-    last."""
-    names = []
-    while node is not None:
-        names.append(order[node[0]])
-        node = node[1]
-    names.reverse()
-    return tuple(names)
-
-
-def _label(leaf: list, label, order):
-    """``label`` of the path that ends in ``leaf``, run on its first use."""
-    data = leaf[2]
-    if data[1] is _ABSENT:
-        data[1] = label(_names(leaf, order))
-    return data[1]
-
-
 def _dag(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label):
     """The DAG of the disjoint path systems pairing srcs[k] -> dsts[k], or
     None when there is none: a list whose k-th dict maps ``key`` to the live
@@ -167,14 +107,16 @@ def _dag(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label
     ``later[k]`` holds every position that paths k, k+1, ... may visit,
     their sources included, so the ways to finish a system whose first k
     paths took the positions ``taken`` depend only on k and
-    ``key = taken & later[k]``; no planarity is assumed.  Each node is
-    expanded by a walk of path k's trie (:func:`_trie_paths`) that skips the
-    positions in ``key``, and finished once the nodes it leads to are, keeping
-    the choices that lead to a complete system.  The tries grow on first
-    visit and share every prefix, so each distinct path is found once and
-    labelled once, on its first live choice (the frontier-based search of
-    SIMPATH, Knuth, TAOCP 4A, 7.1.4).  Everything runs on explicit stacks
-    and lives only for the call."""
+    ``key = taken & later[k]``; no planarity is assumed.  A forward pass
+    expands one level at a time: a depth-first walk of path k's paths, in
+    ``succ`` order, carries the level's keys that the prefix so far avoids,
+    and at path k's sink gives each of them the path as a choice.  The next
+    keys make the next level.  A backward pass keeps the choices that lead
+    to a complete system and labels each path on its first live one (the
+    frontier-based search of SIMPATH, Knuth, TAOCP 4A, 7.1.4).  Every node
+    of the last level is live, so its paths are labelled as they are found,
+    one (label, 0) per path shared by all its nodes.  Everything runs on
+    explicit stacks and lives only for the call."""
     plan = _plan(net, srcs, dsts)
     if plan is None:
         return None
@@ -184,30 +126,64 @@ def _dag(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label
     later = [0] * (m + 1)
     for k in reversed(range(m)):
         later[k] = later[k + 1] | allowed[k] | 1 << starts[k]
-    tries = [[s, None, None] for s in starts]
+
+    # levels[k]: path k's paths, as positions, and the choices each key of
+    # level k found, as (path number, next key); on the last level, as the
+    # finished (label, 0).
+    levels = []
+    choices = {0: []}
+    for k in range(m):
+        end, may, keep, last = ends[k], allowed[k], later[k + 1], k == m - 1
+        held = 0  # a step off every key's positions keeps the alive keys
+        for key in choices:
+            held |= key
+        paths, next_level, path = [], {}, []
+        stack = [(0, starts[k], list(choices))] if choices else []
+        while stack:
+            depth, p, alive = stack.pop()
+            del path[depth:]
+            path.append(p)
+            if p != end:
+                for u in reversed(succ[p]):
+                    if may >> u & 1:
+                        left = [key for key in alive if not key >> u & 1] if held >> u & 1 else alive
+                        if left:
+                            stack.append((depth + 1, u, left))
+            elif last:
+                choice = (label(tuple(map(order.__getitem__, path))), 0)
+                for key in alive:
+                    choices[key].append(choice)
+            else:
+                mask = 0
+                for q in path:
+                    mask |= 1 << q
+                number = len(paths)
+                paths.append(tuple(path))
+                for key in alive:
+                    after = (key | mask) & keep
+                    choices[key].append((number, after))
+                    if after not in next_level:
+                        next_level[after] = []
+        levels.append((paths, choices))
+        choices = next_level
 
     # nodes[k][key]: the live choices of path k at (k, key); a node with none
     # is dead.
-    nodes = [{} for _ in range(m)] + [{0: True}]
-    found = {}  # (k, key) -> paths of a node expanded but not yet finished
-    stack = [(0, 0)] if m else []
-    while stack:
-        k, key = stack[-1]
-        if key in nodes[k]:
-            stack.pop()
-            continue
-        paths = found.get((k, key))
-        if paths is None:
-            paths = found[k, key] = _trie_paths(tries[k], succ, ends[k], allowed[k], key, later[k + 1])
-            todo = [(k + 1, after) for _, after in paths if after not in nodes[k + 1]]
-            if todo:
-                stack.extend(todo)
-                continue
-        del found[k, key]
-        stack.pop()
-        nodes[k][key] = tuple(
-            (_label(leaf, label, order), after) for leaf, after in paths if nodes[k + 1][after]
-        )
+    nodes = [{0: True}]
+    if m:
+        nodes.append({key: tuple(found) for key, found in levels.pop()[1].items()})
+    for paths, level in reversed(levels):
+        live, labels, node = nodes[-1], {}, {}
+        for key, found in level.items():
+            kept = []
+            for number, after in found:
+                if live[after]:
+                    if number not in labels:
+                        labels[number] = label(tuple(map(order.__getitem__, paths[number])))
+                    kept.append((labels[number], after))
+            node[key] = tuple(kept)
+        nodes.append(node)
+    nodes.reverse()
     return nodes
 
 

@@ -362,9 +362,31 @@ def test_list_flows_labels_each_path_choice_once():
         assert listing.count() == len(list(listing)) == count
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 999), st.booleans(), st.data())
+def test_listing_is_the_sorted_brute_force_systems(width, rows, seed, split, data):
+    # on random grids and their splits, for any (I, J), empty and flowless
+    # ones included: the listing is the oracle's systems in sorted order, its
+    # count is their number, and the label runs once on each path of a listed
+    # flow and on no other path
+    net = random_grid_network(width, rows, random.Random(seed))
+    if split:
+        net = vertex_split(net)
+    I = data.draw(st.lists(st.integers(1, width), unique=True, max_size=width))
+    J = data.draw(st.lists(st.integers(1, width), unique=True, min_size=len(I), max_size=len(I)))
+    srcs = [net.sources[i - 1] for i in sorted(I)]
+    dsts = [net.sinks[j - 1] for j in sorted(J)]
+    systems = sorted(naive_disjoint_systems(net, srcs, dsts))
+    calls = []
+    listing = list_flows(net, I, J, lambda names: calls.append(names) or names)
+    assert list(listing) == systems
+    assert listing.count() == len(systems)
+    assert sorted(calls) == sorted({path for system in systems for path in system})
+
+
 def test_chain_of_24000_vertices_lists_its_flow():
-    # a step of the path search copies nothing of the path so far: the path
-    # is rebuilt from its frames once, at its sink
+    # a step of the path search copies nothing of the path so far: the
+    # path's mask and names are built once, at its sink
     names = tuple(f"v{i}" for i in range(24000))
     chain = PlanarNetwork(names, tuple(zip(names, names[1:])), names[:1], names[-1:])
     assert [flow.paths for flow in enumerate_flag_flows(chain, {1})] == [(names,)]

@@ -329,11 +329,11 @@ def _split_kinds(net):
 def test_builders_splits_and_subnetworks_keep_the_charge_rule(monkeypatch):
     subnetworks = []
 
-    def listing(net, I):
+    def listing(net, I, J, label):
         subnetworks.append(net)
-        return enumerate_flag_flows(net, I)
+        return list_flows(net, I, J, label)
 
-    monkeypatch.setattr(dfmod, "enumerate_flag_flows", listing)
+    monkeypatch.setattr(dfmod, "list_flows", listing)
     nets = _builder_networks()
     assert len(nets) == 43
     for net in nets:
