@@ -553,7 +553,9 @@ def main(argv=None) -> int:
         # Files the commands open raise CliError, so this is stdout failing: a
         # normal end if the reader closed it early (``| head``), else an error
         # (``> /dev/full``).  Devnull lets the flush at interpreter exit pass.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 0
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ monomial sum in the interval values with exponents in {-1, 0, 1, 2}.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import reduce
 
 from ._record import Record
 from .flows import Flow, list_flows
@@ -58,7 +59,9 @@ def intervals_of(weighting: Mapping, n: int, carrier: Carrier) -> dict[Interval,
     out = {}
     for lo, hi in intervals(n):
         values = [weighting[half_grid_vertex(i, j)] for i, j in _rectangle(lo, hi)]
-        out[(lo, hi)] = carrier.product(values)
+        if lo == 1:  # [1..hi] reads row hi first, as its last hi weights
+            carrier.check(*values[-hi:])
+        out[(lo, hi)] = reduce(carrier._mul, values)
     return out
 
 
@@ -88,7 +91,7 @@ def weights_from_intervals(vals: Mapping[Interval, object], n: int, carrier: Car
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             num, den = _weight_ratio(i, j)
-            out[half_grid_vertex(i, j)] = carrier.div(product(num), product(den))
+            out[half_grid_vertex(i, j)] = carrier._div(product(num), product(den))
     return out
 
 
@@ -112,12 +115,14 @@ class LaurentExpression(Record):
             den = carrier.one
             for interval, deg in mono:
                 for _ in range(abs(deg)):
+                    factor = vals[interval]
+                    carrier.check(factor)
                     if deg > 0:
-                        num = carrier.mul(num, vals[interval])
+                        num = carrier._mul(num, factor)
                     else:
-                        den = carrier.mul(den, vals[interval])
-            value = carrier.div(num, den)
-            total = value if total is None else carrier.add(total, value)
+                        den = carrier._mul(den, factor)
+            value = carrier._div(num, den)
+            total = value if total is None else carrier._add(total, value)
         if total is None:
             raise LaurentError("empty expression")
         return total
@@ -206,7 +211,9 @@ def reconstruct_from_intervals(
     lo, hi = min(A), max(A)
     gaps = [j for j in range(lo + 1, hi) if j not in A]
     if not gaps:
-        return vals[(lo, hi)]
+        value = vals[(lo, hi)]
+        carrier.check(value)
+        return value
     if j_choice is None:
         j_choice = gaps[0]
     elif j_choice not in gaps:
@@ -221,6 +228,7 @@ def reconstruct_from_intervals(
         lo, hi = min(s), max(s)
         if len(s) == hi - lo + 1:
             memo[s] = vals[(lo, hi)]
+            carrier.check(memo[s])
             continue
         gap = j_choice if s == A else next(j for j in range(lo + 1, hi) if j not in s)
         x = s - {lo, hi}
@@ -230,5 +238,5 @@ def reconstruct_from_intervals(
             stack.extend(missing)
         else:
             a, b, c, d, e = (memo[t] for t in parts)
-            memo[s] = carrier.div(carrier.add(carrier.mul(a, b), carrier.mul(c, d)), e)
+            memo[s] = carrier._div(carrier._add(carrier._mul(a, b), carrier._mul(c, d)), e)
     return memo[A]

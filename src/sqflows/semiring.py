@@ -58,8 +58,10 @@ class Carrier:
     An instance is described by its name, membership test, text parser and
     renderer, its identities (None where the semiring has none) and whether
     it has additive inverses or division.  Subclasses provide the raw
-    ``_add``/``_mul`` (plus ``_div``/``_neg`` where supported); this base
-    class layers the operand checking and the derived operations on top.
+    ``_add``/``_mul`` (plus ``_div``/``_neg`` where supported), which trust
+    their operands.  ``add``/``mul``/``div``/``neg`` are the checked public
+    operations; the library never calls them, but checks each value once
+    where it enters and then computes with the raw operations.
     """
 
     def __init__(self, name, contains, parse, render=str, *, zero=None, one=None,
@@ -115,10 +117,7 @@ class Carrier:
                 raise SemiringError(f"nat_scale(0, _) is undefined in {self.name}")
             return self.zero
         self.check(a)
-        acc = a
-        for _ in range(k - 1):
-            acc = self._add(acc, a)
-        return acc
+        return _repeat(self._add, k, a)
 
     def product(self, values: Iterable):
         values = tuple(values)
@@ -177,6 +176,19 @@ class _Tropical(Carrier):
 
     def _div(self, a, b):
         return a - b
+
+
+def _repeat(op, k: int, a):
+    """a op a op ... op a with k >= 1 copies of a, by repeated doubling: at
+    most 2 log2(k) calls of op, and a itself when k = 1."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else op(result, a)
+        k >>= 1
+        if not k:
+            return result
+        a = op(a, a)
 
 
 def _mono_mul(m1, m2):
@@ -264,13 +276,15 @@ class Poly:
             coeff = self.terms[mono]
             value = carrier.one
             for var, exp in mono:
-                for _ in range(exp):
-                    value = carrier.mul(value, env[var])
-            if coeff > 0:
-                term = carrier.nat_scale(coeff, value)
-            else:
-                term = carrier.neg(carrier.nat_scale(-coeff, value))
-            total = term if total is None else carrier.add(total, term)
+                base = env[var]
+                carrier.check(base)
+                value = carrier._mul(value, _repeat(carrier._mul, exp, base))
+            term = _repeat(carrier._add, abs(coeff), value)
+            if coeff < 0:
+                if not carrier.is_ring:
+                    raise SemiringError(f"{carrier.name} has no additive inverses")
+                term = carrier._neg(term)
+            total = term if total is None else carrier._add(total, term)
         return total
 
 

@@ -5,10 +5,13 @@ plain all-simple-paths DFS over every sink pairing, matchings from endpoint
 subsets times all pairings, determinants from cofactor or Leibniz expansion,
 Laurent monomials from a Counter of interval degrees per flow.  One oracle,
 ``tuple_laurent``, shares the flow listing with production and checks only
-the decoding and sorting of the expansion.
+the decoding and sorting of the expansion.  The ``checked_*`` references
+evaluate the interval formulas and polynomials one operation at a time
+through the checked ``Carrier.add``/``mul``/``div``/``neg``.
 """
 
 from collections import Counter
+from functools import cache, reduce
 from itertools import combinations, permutations
 
 from sqflows.flows import list_flows
@@ -163,4 +166,89 @@ def det_leibniz(matrix, carrier):
             term = carrier.mul(term, matrix[r][perm[r]])
         inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
         total = carrier.add(total, carrier.neg(term) if inversions & 1 else term)
+    return total
+
+
+def checked_intervals_of(weighting, n, carrier):
+    """f([lo..hi]) as the product of the weights w(i, j), i <= hi,
+    j <= min(i, hi - lo + 1), in that order."""
+    out = {}
+    for lo, hi in intervals(n):
+        rectangle = [(i, j) for i in range(1, hi + 1) for j in range(1, min(i, hi - lo + 1) + 1)]
+        out[(lo, hi)] = reduce(carrier.mul, [weighting[half_grid_vertex(i, j)] for i, j in rectangle])
+    return out
+
+
+def checked_weights_from_intervals(vals, n, carrier):
+    """w(i, i) = f(I_ii) / f(I_i,i-1) and w(i, j) = f(I_ij) f(I_i-1,j-1) /
+    (f(I_i-1,j) f(I_i,j-1)), where I_ij = [(i-j+1)..i] and I_i0 is the unit."""
+
+    def f(i, j):
+        return carrier.one if j == 0 else vals[(i - j + 1, i)]
+
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            if i == j:
+                w = carrier.div(f(i, i), f(i, i - 1))
+            else:
+                w = carrier.div(carrier.mul(f(i, j), f(i - 1, j - 1)), carrier.mul(f(i - 1, j), f(i, j - 1)))
+            out[half_grid_vertex(i, j)] = w
+    return out
+
+
+def checked_reconstruct(vals, a_set, carrier):
+    """f(A) by recursive triple elimination at the smallest gap j:
+    (f(Xij) f(Xk) + f(Xjk) f(Xi)) / f(Xj), with i = min A, k = max A and
+    X = A - {i, k}; an interval is its own value."""
+
+    @cache
+    def f(s):
+        lo, hi = min(s), max(s)
+        gaps = [j for j in range(lo + 1, hi) if j not in s]
+        if not gaps:
+            return vals[(lo, hi)]
+        j = gaps[0]
+        x = s - {lo, hi}
+        left = carrier.mul(f(x | {lo, j}), f(x | {hi}))
+        right = carrier.mul(f(x | {j, hi}), f(x | {lo}))
+        return carrier.div(carrier.add(left, right), f(x | {j}))
+
+    return f(frozenset(a_set))
+
+
+def checked_laurent_evaluate(expr, vals, carrier):
+    """The sum over the monomials of (product of the positive powers) /
+    (product of the negative powers), one factor at a time."""
+    total = None
+    for mono in expr.monomials:
+        num = den = carrier.one
+        for iv, deg in mono:
+            for _ in range(abs(deg)):
+                if deg > 0:
+                    num = carrier.mul(num, vals[iv])
+                else:
+                    den = carrier.mul(den, vals[iv])
+        value = carrier.div(num, den)
+        total = value if total is None else carrier.add(total, value)
+    return total
+
+
+def checked_poly_evaluate(poly, env, carrier):
+    """A nonzero polynomial's image: each monomial's powers as repeated
+    products from the unit, its coefficient as a repeated sum (negated when
+    negative), the terms summed in monomial order."""
+    total = None
+    for mono in sorted(poly.terms):
+        coeff = poly.terms[mono]
+        value = carrier.one
+        for var, exp in mono:
+            for _ in range(exp):
+                value = carrier.mul(value, env[var])
+        term = value
+        for _ in range(abs(coeff) - 1):
+            term = carrier.add(term, value)
+        if coeff < 0:
+            term = carrier.neg(term)
+        total = term if total is None else carrier.add(total, term)
     return total

@@ -457,6 +457,26 @@ def test_unwritable_stdout_is_an_input_error(argv):
     assert line.startswith("error: cannot write output: ")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_write_errors_leave_no_descriptor_open(pair_files, monkeypatch):
+    # a reader that has gone points stdout at devnull; the descriptor opened
+    # on devnull for that is closed again, call after call
+    good, _ = pair_files
+
+    def call():
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as out, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            assert main(["check-balance", good]) == 0
+
+    call()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        call()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_listing_index_error_writes_nothing(fmt, capsys):
     # the listing is checked and its DAG built before the first write

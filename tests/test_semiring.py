@@ -119,6 +119,16 @@ def test_nat_scale_zero_needs_identity():
         COUNTING_NAT.nat_scale(-1, 5)
 
 
+def test_repeated_sums_and_powers_take_logarithmic_steps():
+    # k-fold sums and k-th powers by doubling: k = 10**18 answers at once
+    assert EXACT_INT.nat_scale(10**18, 3) == 3 * 10**18
+    assert TROPICAL_INT.nat_scale(10**18, 3) == 3
+    assert Poly.variable("x", 10**18).evaluate({"x": 3}, TROPICAL_INT) == 3 * 10**18
+    p = parse_poly("1000000000·x^1000000000 + 3000000·x·y")
+    assert p.evaluate({"x": 2, "y": 5}, TROPICAL_INT) == 2 * 10**9
+    assert parse_poly("5000000·x + 3000000·x·y").evaluate({"x": 2, "y": 3}, EXACT_INT) == 28 * 10**6
+
+
 def test_poly_with_int_operands():
     x = Poly.variable("x")
     assert x + 2 == Poly.const(2) + x
