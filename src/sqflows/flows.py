@@ -12,21 +12,24 @@ level at a time: one walk of path k's paths serves every node of level k,
 so a path is found once per level and labelled once per listing, however
 many nodes and flows share it; then the DAG is counted or walked in order.
 Every phase keeps its own stack, so neither path length nor path count is
-bounded by the recursion limit.  Both engines run on the network's compiled
-form (``PlanarNetwork.form``) and share one terminal rule.  Planarity plus
-the boundary order of the terminals force the k-th smallest chosen source to
-feed the k-th chosen sink, so both engines use only that pairing.  Every
-engine admits a network through :func:`_form`, which refuses one that no
-builder made when ``network.validate`` lists a problem.
+bounded by the recursion limit.  Both engines read the network's compiled
+form (``PlanarNetwork.form``), whose one table of the sinks each position
+reaches is all the reachability they use, and share one terminal rule
+(:func:`_plan`).  Planarity plus the boundary order of the terminals force
+the k-th smallest chosen source to feed the k-th chosen sink, so both
+engines use only that pairing.  Every engine admits a network through
+:func:`_form`, which refuses one no builder made when ``network.validate``
+lists a problem.
 
 A weighting is checked once, where it enters (:func:`_charged`): the weight
 of every vertex on some source -> sink path must be there and be a carrier
 element.  Past that check every engine runs the raw carrier operations.
 
 Over a ring, two helpers carry the Lindström–Gessel–Viennot lemma: a
-backward pass from a sink gives a path-matrix column (:func:`_column`), and a
-sparse exterior product wedges vectors (:func:`_wedge`).  They serve
-:func:`lindstrom_matrix`, :func:`minor` and :func:`flag_table`.
+backward pass over a sink's column of the table gives a path-matrix column
+(:func:`_column`), and a sparse exterior product wedges vectors
+(:func:`_wedge`).  They serve :func:`lindstrom_matrix`, :func:`minor` and
+:func:`flag_table`.
 """
 
 from __future__ import annotations
@@ -79,27 +82,27 @@ def _form(net: PlanarNetwork) -> NetworkForm:
     return net.form
 
 
-def _plan(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...]):
-    """The terminal rule of the sweep and the enumerator, for paths
-    srcs[k] -> dsts[k]: None when a sink is out of its source's reach, since
-    then no path system exists; otherwise the source and sink positions and,
-    per path, the mask of the positions it may use: those that reach its
-    sink and are no other path's terminal.  No two paths share a terminal in
-    a network :func:`_form` admits: sources are distinct, so are sinks, and
-    a source is a sink only as s1 = t1 or as the last of both, which the one
-    path with the smallest (or largest) index in both sets then holds."""
+def _plan(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...]):
+    """The terminal rule of the sweep and the enumerator, for paths from the
+    k-th source of I to the k-th sink of J: None when a sink is out of its
+    source's reach; otherwise the source and sink positions and, per path,
+    the positions it may use: its sink's column of ``form.to_sink`` less
+    the other paths' terminals.  No two paths share a terminal in a network
+    :func:`_form` admits: sources are distinct, so are sinks, and a source
+    is a sink only as s1 = t1 or as the last of both, which the one path
+    with the smallest (or largest) index in both sets then holds."""
     form = _form(net)
-    index, ancestors = form.index, form.ancestors
-    starts = [index[v] for v in srcs]
-    ends = [index[v] for v in dsts]
-    if any(not ancestors[t] >> s & 1 for s, t in zip(starts, ends)):
+    starts = [form.index[net.sources[i - 1]] for i in I]
+    ends = [form.index[net.sinks[j - 1]] for j in J]
+    columns = [form.to_sink[j - 1] for j in J]
+    if any(not column >> s & 1 for s, column in zip(starts, columns)):
         return None
     bits = sum(1 << p for p in set(starts + ends))
-    return starts, ends, [ancestors[t] & ~(bits & ~(1 << t)) for t in ends]
+    return starts, ends, [column & ~(bits & ~(1 << t)) for t, column in zip(ends, columns)]
 
 
-def _dag(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label):
-    """The DAG of the disjoint path systems pairing srcs[k] -> dsts[k], or
+def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
+    """The DAG of the disjoint path systems that :func:`_plan` pairs, or
     None when there is none: a list whose k-th dict maps ``key`` to the live
     choices of path k at node (k, key), as (label, next key), and whose last
     level is the finished system {0: True}.
@@ -117,7 +120,7 @@ def _dag(net: PlanarNetwork, srcs: tuple[str, ...], dsts: tuple[str, ...], label
     of the last level is live, so its paths are labelled as they are found,
     one (label, 0) per path shared by all its nodes.  Everything runs on
     explicit stacks and lives only for the call."""
-    plan = _plan(net, srcs, dsts)
+    plan = _plan(net, I, J)
     if plan is None:
         return None
     starts, ends, allowed = plan
@@ -260,9 +263,7 @@ def _listing(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, labe
         J = _check_indices("sink", J, len(net.sinks))
         if len(I) != len(J):
             raise FlowError("index sets must have equal size")
-    srcs = tuple(net.sources[i - 1] for i in I)
-    dsts = tuple(net.sinks[j - 1] for j in J)
-    return I, J, FlowListing(_dag(net, srcs, dsts, label))
+    return I, J, FlowListing(_dag(net, I, J, label))
 
 
 def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label) -> FlowListing:
@@ -323,30 +324,22 @@ def undefined_value(carrier: Carrier):
 def _charged(net: PlanarNetwork, weighting: Mapping, carrier: Carrier) -> tuple:
     """Per position of the compiled form, the weight a path pays there, or
     None where nothing is paid or no source -> sink path passes.  The weight
-    of every position on some source -> sink path is read and checked, in
-    position order; the first that is missing or not a carrier element
-    raises.  Dead ends and vertices with no way in need no weight."""
+    of every position on such a path (``form.reach`` not 0) is read and
+    checked, in position order; the first that is missing or not a carrier
+    element raises.  Dead ends and vertices with no way in need no weight."""
+
+    def pay(key):
+        value = _weight_of(weighting, key)
+        carrier.check(value)
+        return value
+
     form = _form(net)
-    index = form.index
-    reached = {index[s] for s in net.sources}
-    to_sink = 0
-    for t in net.sinks:
-        to_sink |= form.ancestors[index[t]]
-    paid = []
-    for p, key in enumerate(form.charge):
-        value = None
-        if p in reached:
-            reached.update(form.succ[p])
-            if key is not None and to_sink >> p & 1:
-                value = _weight_of(weighting, key)
-                carrier.check(value)
-        paid.append(value)
-    return tuple(paid)
+    return tuple(None if key is None or not reach else pay(key) for key, reach in zip(form.charge, form.reach))
 
 
-def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
-    """Sum over the disjoint path systems srcs[k] -> dsts[k] of their weight
-    products, or None when there is no such system; ``paid`` comes from
+def _flow_sum(net: PlanarNetwork, paid: tuple, I, J, carrier: Carrier):
+    """Sum over the disjoint path systems that :func:`_plan` pairs of their
+    weight products, or None when there is none; ``paid`` comes from
     :func:`_charged`.
 
     A frontier sweep over the vertices in topological order (the
@@ -362,7 +355,7 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, srcs, dsts, carrier: Carrier):
     absence of the final state, not a zero, which carriers without zero and
     ``Starred`` need.  Labels keep the k-th source paired with the k-th sink,
     as in enumeration.  Only the raw carrier operations run inside."""
-    plan = _plan(net, srcs, dsts)
+    plan = _plan(net, I, J)
     if plan is None:
         return None
     starts, ends, allowed = plan
@@ -430,20 +423,18 @@ class FlowFunction:
             if len(I) <= len(net.sinks):
                 if self._paid is None:
                     self._paid = _charged(net, self.weighting, carrier)
-                srcs = tuple(net.sources[i - 1] for i in I)
-                total = _flow_sum(net, self._paid, srcs, net.sinks[: len(I)], carrier)
+                total = _flow_sum(net, self._paid, I, range(1, len(I) + 1), carrier)
             self._memo[key] = undefined_value(carrier) if total is None else total
         return self._memo[key]
 
 
-def _column(form: NetworkForm, paid: tuple, end: int, one, mul, add) -> dict:
-    """One backward pass from the sink at position ``end`` over the compiled
-    form: the weight sum of the paths p -> end, keyed by every ancestor
-    position p, each path paying the weights of :func:`_charged`."""
-    succ = form.succ
-    reach = form.ancestors[end]
-    w = paid[end]
-    sums = {end: one if w is None else w}
+def _column(form: NetworkForm, paid: tuple, j: int, one, mul, add) -> dict:
+    """One backward pass over sink j's column of ``form.to_sink``, from the
+    sink, its last position: the weight sum of the paths p -> t_j, keyed by
+    each position p of the column, each path paying :func:`_charged`."""
+    succ, reach = form.succ, form.to_sink[j - 1]
+    end = reach.bit_length() - 1
+    sums = {end: one if paid[end] is None else paid[end]} if reach else {}
     for p in range(end - 1, -1, -1):
         if reach >> p & 1:
             total = None
@@ -491,12 +482,10 @@ def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
         raise FlowError("path matrix needs equally many sources and sinks")
     form = _form(net)
     paid = _charged(net, weighting, carrier)
-    index, zero = form.index, carrier.zero
-    rows = []
-    for t in net.sinks:
-        sums = _column(form, paid, index[t], carrier.one, carrier._mul, carrier._add)
-        rows.append(tuple(sums.get(index[s], zero) for s in net.sources))
-    return tuple(rows)
+    one, mul, add, zero = carrier.one, carrier._mul, carrier._add, carrier.zero
+    sources = [form.index[s] for s in net.sources]
+    passes = (_column(form, paid, j, one, mul, add) for j in range(1, len(net.sinks) + 1))
+    return tuple(tuple(sums.get(p, zero) for p in sources) for sums in passes)
 
 
 def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int) -> dict:
@@ -518,7 +507,7 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
     paid = _charged(net, weighting, carrier)
     one, mul, add = carrier.one, carrier._mul, carrier._add
     rows = [form.index[s] for s in net.sources]
-    passes = (_column(form, paid, form.index[t], one, mul, add) for t in net.sinks[:k])
+    passes = (_column(form, paid, j, one, mul, add) for j in range(1, k + 1))
     columns = [[(r, col[p]) for r, p in enumerate(rows) if p in col] for col in passes]
     return _wedge(columns, one, mul, add, carrier._neg, carrier.zero)
 

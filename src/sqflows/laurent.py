@@ -83,9 +83,10 @@ def weights_from_intervals(vals: Mapping[Interval, object], n: int, carrier: Car
     where I_ij = [(i-j+1)..i] and the j = 0 value is the unit."""
     if not carrier.has_div:
         raise SemiringError(f"{carrier.name} has no division")
+    carrier.check(*(vals[iv] for iv in intervals(n)))  # each value once: every one is read below
 
     def product(ivs):
-        return carrier.product(carrier.one if iv is None else vals[iv] for iv in ivs)
+        return reduce(carrier._mul, [carrier.one if iv is None else vals[iv] for iv in ivs])
 
     out = {}
     for i in range(1, n + 1):
@@ -208,15 +209,7 @@ def reconstruct_from_intervals(
     A = frozenset(a_set)
     if not A or not A <= set(range(1, n + 1)):
         raise LaurentError(f"A must be a nonempty subset of [{n}]")
-    lo, hi = min(A), max(A)
-    gaps = [j for j in range(lo + 1, hi) if j not in A]
-    if not gaps:
-        value = vals[(lo, hi)]
-        carrier.check(value)
-        return value
-    if j_choice is None:
-        j_choice = gaps[0]
-    elif j_choice not in gaps:
+    if j_choice is not None and (j_choice not in range(min(A) + 1, max(A)) or j_choice in A):
         raise LaurentError(f"{j_choice} is not a gap of {sorted(A)}")
     memo: dict[frozenset[int], object] = {}
     stack = [A]
@@ -230,7 +223,8 @@ def reconstruct_from_intervals(
             memo[s] = vals[(lo, hi)]
             carrier.check(memo[s])
             continue
-        gap = j_choice if s == A else next(j for j in range(lo + 1, hi) if j not in s)
+        pinned = s == A and j_choice is not None
+        gap = j_choice if pinned else next(j for j in range(lo + 1, hi) if j not in s)
         x = s - {lo, hi}
         parts = (x | {lo, gap}, x | {hi}, x | {gap, hi}, x | {lo}, x | {gap})
         missing = [t for t in parts if t not in memo]

@@ -26,20 +26,20 @@ SPLIT = "split"
 EXTRA = "extra"
 
 
-NetworkForm = namedtuple("NetworkForm", "index succ ancestors charge breaches")
-NetworkForm.__doc__ = """An acyclic network compiled for the flow sweep and the enumerator.
+NetworkForm = namedtuple("NetworkForm", "index succ reach to_sink charge breaches")
+NetworkForm.__doc__ = """An acyclic network compiled for the flow engines and the network check.
 
     Positions number the vertices in :attr:`PlanarNetwork.order`; ``index``
-    maps a vertex to its position, which is also its bit in the ``ancestors``
-    masks.  ``succ`` holds the successor positions of each position, in
-    ``out()`` order; ``ancestors`` the positions each position is reachable
-    from, itself included.  ``charge`` is the weighting key a path pays at
-    each position, or None: every vertex of an unsplit network pays its own
-    weight; on a split network the weight of an original vertex v is paid at
-    v', the tail of v's split-edge.  :func:`vertex_split` gives v' one
-    out-edge and never makes it a sink, so every path through v' crosses that
-    split-edge.  ``breaches`` lists where the table breaks
-    :func:`_charge_breaches`' rule."""
+    maps a vertex to its position, ``succ`` holds each position's successors
+    in ``out()`` order.  One table says what each position reaches: bit
+    j - 1 of ``reach[p]`` is set when p lies on a path from a source to sink
+    j, and ``to_sink[j - 1]`` is the column of sink j, a bit per position.
+    ``charge`` is the weighting key a path pays at each position, or None:
+    every vertex of an unsplit network pays its own weight; on a split
+    network the weight of an original vertex v is paid at v', the tail of
+    v's split-edge.  :func:`vertex_split` gives v' one out-edge and never
+    makes it a sink, so every path through v' crosses that split-edge.
+    ``breaches`` lists where ``charge`` breaks :func:`_charge_breaches`' rule."""
 
 
 class PlanarNetwork(Record):
@@ -130,20 +130,30 @@ class PlanarNetwork(Record):
         if len(order) < len(self._in):  # _in has one key per distinct vertex
             return None
         index = {v: p for p, v in enumerate(order)}
-        succ = tuple(tuple(index[u] for u in self.out(v)) for v in order)
-        ancestors = [1 << p for p in range(len(order))]
-        for p, after in enumerate(succ):
-            for u in after:
-                ancestors[u] |= ancestors[p]
+        succ, reached = [], {index[s] for s in self.sources if s in index}
+        for p, v in enumerate(order):  # the successors, and what a source reaches
+            succ.append(tuple(map(index.__getitem__, self.out(v))))
+            reached.update(succ[p] if p in reached else ())
+        reach = [0] * len(order)
+        for j, t in enumerate(self.sinks):
+            if index.get(t) in reached:
+                reach[index[t]] |= 1 << j
+        for p in sorted(reached, reverse=True):  # the one backward pass
+            for u in succ[p]:
+                reach[p] |= reach[u]
+        # the columns: reach in binary, k digits a position from the last, read back a sink at a time
+        k = len(self.sinks)
+        rows = "".join([bin(r | 1 << k)[3:] for r in reversed(reach)])
+        to_sink = tuple(int("0" + rows[k - 1 - j :: k], 2) for j in range(k))
         if self.is_split:
             charge = tuple(
                 self.origin_of(v) if any(self.kind((v, u)) == SPLIT for u in self.out(v)) else None
                 for v in order
             )
-            breaches = _charge_breaches(self, index, succ, ancestors, charge)
+            breaches = _charge_breaches(self, index, succ, reach, charge)
         else:
             charge, breaches = order, ()
-        return NetworkForm(index, succ, tuple(ancestors), charge, breaches)
+        return NetworkForm(index, tuple(succ), tuple(reach), to_sink, charge, breaches)
 
     @cached_property
     def crossed_pairing(self) -> str | None:
@@ -159,42 +169,51 @@ class PlanarNetwork(Record):
         JACM 1978): the live head earlier in topological order moves, never
         onto the other head, so neither path can reach a position the other
         has left.  A head at a sink may stop there for good, written ~p; it
-        then lies before the live head.  O(V^2 * degree) steps."""
+        then lies before the live head.  A pair is dropped when the largest
+        sink index the first head can still end at (``form.reach``; for a
+        stopped head, its own sinks') is no larger than the smallest the
+        second can: those sets only shrink along a path, so no pair after it
+        crosses either.  O(V^2 * degree) steps at most."""
         form = self.form
         if form is None:
             return None
         index, succ = form.index, form.succ
-        sink_ids: dict[int, list[int]] = {}
-        for j, t in enumerate(self.sinks, 1):
+        # ends[p]: the sink indices a live head at p can still end at, as
+        # ``form.reach`` bits; ends[~p]: those of a head stopped at p
+        ends = [*form.reach, *[0] * len(succ)]
+        for j, t in enumerate(self.sinks):
             if t in index:
-                sink_ids.setdefault(index[t], []).append(j)
+                ends[~index[t]] |= 1 << j
+
+        def crossable(a, b):  # path a can still end at a later sink than path b
+            low = ends[b] & -ends[b]
+            return 0 < low <= ends[a] >> 1
+
         starts = [(index[s], i) for i, s in enumerate(self.sources, 1) if s in index]
         origin = {}  # state -> the source indices it was first reached from
         for (a, i), (b, i2) in combinations(starts, 2):
-            if a != b:
+            if a != b and crossable(a, b):
                 origin.setdefault((a, b), (i, i2))
         stack = list(origin)
         while stack:
             state = stack.pop()
             a, b = state
             if a < 0 and b < 0:
-                j2, j = max(sink_ids[~a]), min(sink_ids[~b])
-                if j < j2:
-                    i, i2 = origin[state]
-                    s, s2, t, t2 = self.sources[i - 1], self.sources[i2 - 1], self.sinks[j - 1], self.sinks[j2 - 1]
-                    return (
-                        f"crossed pairing: s{i} -> t{j2} and s{i2} -> t{j} have vertex-disjoint "
-                        f"paths ({s} -> {t2}, {s2} -> {t})"
-                    )
-                continue
+                j, j2 = (ends[b] & -ends[b]).bit_length(), ends[a].bit_length()
+                i, i2 = origin[state]
+                s, s2, t, t2 = self.sources[i - 1], self.sources[i2 - 1], self.sinks[j - 1], self.sinks[j2 - 1]
+                return (
+                    f"crossed pairing: s{i} -> t{j2} and s{i2} -> t{j} have vertex-disjoint "
+                    f"paths ({s} -> {t2}, {s2} -> {t})"
+                )
             lower = b < 0 or 0 <= a < b  # the head that moves is a
             head, other = (a, b) if lower else (b, a)
             moves = [u for u in succ[head] if u != other]
-            if head in sink_ids:
+            if ends[~head]:
                 moves.append(~head)
             for u in moves:
                 after = (u, other) if lower else (other, u)
-                if after not in origin:
+                if after not in origin and crossable(*after):
                     origin[after] = origin[state]
                     stack.append(after)
         return None
@@ -262,7 +281,7 @@ class PlanarNetwork(Record):
         return tuple(dict.fromkeys(orig for _, orig in self.origins))
 
 
-def _charge_breaches(net: PlanarNetwork, index, succ, ancestors, charge) -> tuple[str, ...]:
+def _charge_breaches(net: PlanarNetwork, index, succ, reach, charge) -> tuple[str, ...]:
     """Breaches of the charge rule that the sweep and the symbolic check
     assume of a split network's charge table: no weight key is charged at two
     positions, a source that pays nothing is no sink, and every successor of
@@ -284,7 +303,7 @@ def _charge_breaches(net: PlanarNetwork, index, succ, ancestors, charge) -> tupl
         breaches += [
             f"source {s} pays no weight and neither does its successor {net.order[u]}"
             for u in succ[p]
-            if charge[u] is None and any(ancestors[t] >> u & 1 for t in sinks)
+            if charge[u] is None and reach[u]
         ]
     return tuple(breaches)
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -391,6 +393,25 @@ def test_chain_of_24000_vertices_lists_its_flow():
     chain = PlanarNetwork(names, tuple(zip(names, names[1:])), names[:1], names[-1:])
     assert [flow.paths for flow in enumerate_flag_flows(chain, {1})] == [(names,)]
     assert list(list_flows(chain, {1}, {1}, len)) == [(24000,)]
+
+
+def test_chain_form_holds_no_quadratic_table():
+    # the reachability table holds V * k bits: beside the index and the
+    # successor tuples, which it needs to run at all, the form of a
+    # 24000-vertex chain retains under 2 MB (an ancestor mask per vertex held
+    # about 40 MB)
+    names = tuple(f"v{i}" for i in range(24000))
+    chain = PlanarNetwork(names, tuple(zip(names, names[1:])), names[:1], names[-1:])
+    chain.order
+    tracemalloc.start()
+    try:
+        form = chain.form
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    needed = sys.getsizeof(form.index) + sys.getsizeof(form.succ)
+    needed += sum(map(sys.getsizeof, form.succ)) + sum(map(sys.getsizeof, form.index.values()))
+    assert held - needed < 2_000_000
 
 
 def test_many_paths_are_listed():

@@ -252,6 +252,9 @@ def test_reconstruct_validation():
         reconstruct_from_intervals(vals, (), 3, POSITIVE_RATIONAL)
     with pytest.raises(LaurentError):
         reconstruct_from_intervals(vals, {1, 3}, 3, POSITIVE_RATIONAL, j_choice=3)
+    # A = [2..3] is itself an interval, and has no gap to pin
+    with pytest.raises(LaurentError, match=r"^7 is not a gap of \[2, 3\]$"):
+        reconstruct_from_intervals(vals, {2, 3}, 3, POSITIVE_RATIONAL, j_choice=7)
 
 
 def test_reconstruct_wide_span():

@@ -411,6 +411,63 @@ def test_crossed_pairing_matches_brute_force(size, data):
         sinks=tuple(data.draw(terminals)),
     )
     assert (net.crossed_pairing is not None) == _brute_crossing(net)
+    split = vertex_split(net)
+    assert (split.crossed_pairing is not None) == _brute_crossing(split)
+
+
+def _reach_by_search(net):
+    """Per vertex, the sink indices j with a path from some source through
+    the vertex to t_j, by a depth-first search from every vertex."""
+
+    def below(v):
+        seen, stack = {v}, [v]
+        while stack:
+            for u in net.out(stack.pop()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
+
+    reached = set().union(*map(below, net.sources))
+    return {v: {j for j, t in enumerate(net.sinks, 1) if v in reached and t in below(v)} for v in net.vertices}
+
+
+def _assert_reach_table(net):
+    form, found = net.form, _reach_by_search(net)
+    for v, js in found.items():
+        assert form.reach[form.index[v]] == sum(1 << j - 1 for j in js)
+    assert len(form.to_sink) == len(net.sinks)
+    for j, column in enumerate(form.to_sink, 1):
+        assert column == sum(1 << form.index[v] for v, js in found.items() if j in js)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_reach_table_matches_search(size, data):
+    # random DAGs, with terminals repeated, shared, or no vertex at all
+    names = [f"v{k}" for k in range(size)]
+    edges = data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                               .filter(lambda e: e[0] < e[1]), unique=True))
+    terminals = st.lists(st.sampled_from(names + ["ghost"]), min_size=1, max_size=4)
+    net = PlanarNetwork(
+        vertices=tuple(names),
+        edges=tuple((names[a], names[b]) for a, b in edges),
+        sources=tuple(data.draw(terminals)),
+        sinks=tuple(data.draw(terminals)),
+    )
+    _assert_reach_table(net)
+    if "ghost" not in net.sources + net.sinks:
+        _assert_reach_table(vertex_split(net))
+
+
+def test_reach_table_and_crossings_of_builder_networks():
+    # half-grids, random grids and gadgets, and their splits: the table is
+    # the searched one, and the pruned check finds no crossing, as a listing
+    # of every path pair finds none
+    for net in _builder_networks():
+        for each in (net, vertex_split(net)):
+            _assert_reach_table(each)
+            assert each.crossed_pairing is None and not _brute_crossing(each)
 
 
 def test_crossed_pairing_is_computed_on_demand():

@@ -126,6 +126,17 @@ def test_weights_from_intervals_rejects_each_bad_or_missing_value(carrier, bad):
         _missing(lambda: weights_from_intervals(rest, n, carrier), iv)
 
 
+def test_weights_from_intervals_checks_each_value_once(monkeypatch):
+    # one membership test per interval value, n(n + 1)/2 of them, and none
+    # of the unit that stands in for the empty interval
+    n, tested = 30, []
+    contains = POSITIVE_RATIONAL.contains
+    monkeypatch.setattr(POSITIVE_RATIONAL, "contains", lambda a: tested.append(a) or contains(a))
+    vals = {iv: Fraction(k + 2, k + 1) for k, iv in enumerate(intervals(n))}
+    weights_from_intervals(vals, n, POSITIVE_RATIONAL)
+    assert sorted(tested) == sorted(vals.values()) and len(tested) == 465
+
+
 @pytest.mark.parametrize("carrier, bad", INTERVAL_CARRIERS, ids=_ids(INTERVAL_CARRIERS))
 @pytest.mark.parametrize("a_set", [{1, 3}, {1, 4}, {1, 3, 5}, {2, 5}, {1, 2, 5}])
 def test_reconstruct_rejects_each_bad_or_missing_value(carrier, bad, a_set):
