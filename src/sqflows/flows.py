@@ -1,35 +1,41 @@
 """Flag flows, (I,J)-flows, flow-generated functions, and the path matrix.
 
-f(I) comes from a frontier sweep over the vertices in topological order (the
-transfer-matrix method): it sums weight products over labelled partial path
-systems without listing them, using only the carrier's addition and
-multiplication.  Enumeration lists the flows themselves, for the commands and
-modules that output every flow (``flows``, double flows, Laurent expansion).
-It builds a DAG of path choices once per listing: node (k, key) holds the
-ways path k can continue a system whose first k paths took the positions
-``key``, counted only where paths k, k+1, ... may still go.  The DAG grows a
-level at a time: one walk of path k's paths serves every node of level k,
-so a path is found once per level and labelled once per listing, however
-many nodes and flows share it; then the DAG is counted or walked in order.
-Every phase keeps its own stack, so neither path length nor path count is
-bounded by the recursion limit.  Both engines read the network's compiled
-form (``PlanarNetwork.form``), whose one table of the sinks each position
-reaches is all the reachability they use, and share one terminal rule
-(:func:`_plan`).  Planarity plus the boundary order of the terminals force
-the k-th smallest chosen source to feed the k-th chosen sink, so both
-engines use only that pairing.  Every engine admits a network through
-:func:`_form`, which refuses one no builder made when ``network.validate``
-lists a problem.
+f(I) has two engines.  Over ``nat``, ``int`` and ``posrat`` it is a minor
+of the path matrix (Lindström–Gessel–Viennot), computed exactly over the
+integers by fraction-free elimination (:class:`FlowFunction`).  Over every
+other carrier, and over a ``posrat`` weighting that mixes ``int`` and
+``Fraction`` weights, it comes from a frontier sweep over the vertices in
+topological order (the transfer-matrix method): it sums weight products over
+labelled partial path systems without listing them, using only the
+carrier's addition and multiplication.  Enumeration lists the flows
+themselves, for the commands and modules that output every flow (``flows``,
+double flows, Laurent expansion).  It builds a DAG of path choices once per
+listing: node (k, key) holds the ways path k can continue a system whose
+first k paths took the positions ``key``, counted only where paths k, k+1,
+... may still go.  The DAG grows a level at a time: one walk of path k's
+paths serves every node of level k, so a path is found once per level and
+labelled once per listing, however many nodes and flows share it; then the
+DAG is counted or walked in order.  Every phase keeps its own stack, so
+neither path length nor path count is bounded by the recursion limit.  The
+engines read the network's compiled form (``PlanarNetwork.form``), whose one
+table of the sinks each position reaches is all the reachability they use;
+the sweep and the enumerator share one terminal rule (:func:`_plan`).
+Planarity plus the boundary order of the terminals force the k-th smallest
+chosen source to feed the k-th chosen sink, so every engine uses only that
+pairing, and a path-matrix minor has no other disjoint systems to cancel.
+Every engine admits a network through :func:`_form`, which refuses one no
+builder made when ``network.validate`` lists a problem.
 
 A weighting is checked once, where it enters (:func:`_charged`): the weight
 of every vertex on some source -> sink path must be there and be a carrier
 element.  Past that check every engine runs the raw carrier operations.
 
-Over a ring, two helpers carry the Lindström–Gessel–Viennot lemma: a
-backward pass over a sink's column of the table gives a path-matrix column
-(:func:`_column`), and a sparse exterior product wedges vectors
-(:func:`_wedge`).  They serve :func:`lindstrom_matrix`, :func:`minor` and
-:func:`flag_table`.
+Over a ring, three helpers carry the Lindström–Gessel–Viennot lemma: one
+backward pass per sink over its column of the table gives the path-matrix
+columns (:func:`_columns`), a sparse exterior product wedges vectors
+(:func:`_wedge`), and :func:`_determinant` takes an integer determinant.
+They serve :class:`FlowFunction`, :func:`lindstrom_matrix`, :func:`minor`
+and :func:`flag_table`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from collections.abc import Iterable, Mapping
 
 from ._record import Record
 from .network import NetworkForm, PlanarNetwork
-from .semiring import STAR, Carrier, SemiringError, Starred
+from .semiring import COUNTING_NAT, EXACT_INT, POSITIVE_RATIONAL, STAR, Carrier, SemiringError, Starred
 
 
 class FlowError(ValueError):
@@ -339,8 +345,8 @@ def _charged(net: PlanarNetwork, weighting: Mapping, carrier: Carrier) -> tuple:
 
 def _flow_sum(net: PlanarNetwork, paid: tuple, I, J, carrier: Carrier):
     """Sum over the disjoint path systems that :func:`_plan` pairs of their
-    weight products, or None when there is none; ``paid`` comes from
-    :func:`_charged`.
+    weight products, for nonempty I and J, or None when there is none;
+    ``paid`` comes from :func:`_charged`.
 
     A frontier sweep over the vertices in topological order (the
     transfer-matrix method).  A state holds, for each path label k, the
@@ -360,8 +366,6 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, I, J, carrier: Carrier):
         return None
     starts, ends, allowed = plan
     m = len(starts)
-    if m == 0:
-        return carrier.product(())
     mul, add = carrier._mul, carrier._add
     succ = net.form.succ
 
@@ -392,7 +396,7 @@ def _flow_sum(net: PlanarNetwork, paid: tuple, I, J, carrier: Carrier):
 
 def evaluate_fgf(net: PlanarNetwork, weighting: Mapping, I: Iterable[int], carrier: Carrier):
     """The flow-generated function: sum over flag flows of the weight product,
-    computed by the frontier sweep without listing the flows.
+    computed without listing the flows (:class:`FlowFunction`).
 
     Returns the undefined marker of the carrier when no flow exists."""
     return FlowFunction(net, weighting, carrier)(I)
@@ -401,8 +405,23 @@ def evaluate_fgf(net: PlanarNetwork, weighting: Mapping, I: Iterable[int], carri
 class FlowFunction:
     """Memoized f(I) for one (network, weighting, carrier) triple.  The
     weighting is checked once (:func:`_charged`), on the first call that
-    reaches the sweep; a bad weight on any source -> sink path raises there,
-    whether or not a flag flow of that call pays it."""
+    reaches an engine; a bad weight on any source -> sink path raises there,
+    whether or not a flag flow of that call pays it.
+
+    Over ``nat``, ``int`` and ``posrat``, when every charged weight is an
+    ``int`` (or, over ``posrat``, every one a ``Fraction``), f(I) is the
+    minor of the path matrix on I's source rows and the columns of sinks
+    1..|I| (Lindström–Gessel–Viennot: the terminals of an admitted network
+    lie in boundary order, so only the identity pairing has disjoint
+    systems).  The columns (:func:`_columns`) are made once, the first |I|
+    of them on the first call and more only when a larger |I| needs them,
+    each scaled to integers by the lcm of its denominators; a
+    :func:`_determinant` over ``int`` then gives each minor.  Over
+    ``posrat`` every weight is positive, so a zero minor means no flow.
+    Every other case keeps the sweep (:func:`_flow_sum`), whose result type
+    the ring engine matches: ``int`` from ``int`` weights, ``Fraction`` from
+    ``Fraction`` ones; a ``posrat`` weighting that mixes the two gives
+    whichever type its flows pay."""
 
     def __init__(self, net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
         self.network = net
@@ -410,6 +429,11 @@ class FlowFunction:
         self.carrier = carrier
         self._memo = {}
         self._paid = None
+        # the ring engine's integer columns of sinks 1, 2, ..., as dicts from
+        # source row to entry, and _scales[k], the product of the first k
+        # columns' scales; None for the sweep.  _ratio is Fraction where the
+        # engine answers in Fractions, else None.
+        self._columns = self._scales = self._ratio = None
 
     def __call__(self, I: Iterable[int]):
         I = tuple(I)
@@ -423,27 +447,91 @@ class FlowFunction:
             if len(I) <= len(net.sinks):
                 if self._paid is None:
                     self._paid = _charged(net, self.weighting, carrier)
-                total = _flow_sum(net, self._paid, I, range(1, len(I) + 1), carrier)
+                    self._choose_engine()
+                if not I:
+                    total = carrier.product(())
+                elif self._columns is not None:
+                    total = self._minor(I)
+                else:
+                    total = _flow_sum(net, self._paid, I, range(1, len(I) + 1), carrier)
             self._memo[key] = undefined_value(carrier) if total is None else total
         return self._memo[key]
 
+    def _choose_engine(self):
+        """Start the ring engine's columns where it serves the carrier and the
+        charged weights.  ``fractions`` and ``math`` come in with the package
+        already, so the imports here cost no start-up."""
+        from fractions import Fraction
 
-def _column(form: NetworkForm, paid: tuple, j: int, one, mul, add) -> dict:
-    """One backward pass over sink j's column of ``form.to_sink``, from the
-    sink, its last position: the weight sum of the paths p -> t_j, keyed by
-    each position p of the column, each path paying :func:`_charged`."""
-    succ, reach = form.succ, form.to_sink[j - 1]
-    end = reach.bit_length() - 1
-    sums = {end: one if paid[end] is None else paid[end]} if reach else {}
-    for p in range(end - 1, -1, -1):
-        if reach >> p & 1:
-            total = None
-            for u in succ[p]:
-                if u in sums:
-                    total = sums[u] if total is None else add(total, sums[u])
-            w = paid[p]
-            sums[p] = total if w is None else mul(total, w)
-    return sums
+        carrier = self.carrier
+        kinds = {type(w) for w in self._paid if w is not None}
+        if carrier in (COUNTING_NAT, EXACT_INT, POSITIVE_RATIONAL) and kinds <= {int}:
+            self._columns, self._scales = [], [1]
+        elif carrier is POSITIVE_RATIONAL and kinds == {Fraction}:
+            self._columns, self._scales, self._ratio = [], [1], Fraction
+
+    def _minor(self, I: tuple[int, ...]):
+        """f(I) by the ring engine, or None for a zero minor."""
+        k, columns, scales = len(I), self._columns, self._scales
+        if len(columns) < k:
+            from math import lcm
+
+            for column in _columns(self.network, self._paid, self.carrier, range(len(columns) + 1, k + 1)):
+                scale = lcm(*(x.denominator for x in column.values()))
+                columns.append({r: x.numerator * (scale // x.denominator) for r, x in column.items()})
+                scales.append(scales[-1] * scale)
+        det = _determinant([[column.get(i - 1, 0) for column in columns[:k]] for i in I])
+        if not det:
+            return None
+        return det if self._ratio is None else self._ratio(det, scales[k])
+
+
+def _determinant(rows: list) -> int:
+    """The determinant of a square integer matrix, given as a list of row
+    lists that it overwrites: fraction-free Gaussian elimination (Bareiss
+    1968), in which every division is exact; a zero pivot takes the first
+    lower row with a nonzero entry in its column, and the sign flips."""
+    n, sign, last = len(rows), 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // last
+        last = pivot
+    return sign * rows[-1][-1] if n else 1
+
+
+def _columns(net: PlanarNetwork, paid: tuple, carrier: Carrier, sinks: Iterable[int]) -> list:
+    """The path-matrix columns of ``sinks``, sink j's as a dict from source
+    row r (source r + 1) to the weight sum of the paths s_{r+1} -> t_j, each
+    paying :func:`_charged`, for the sources with such a path.  One backward
+    pass over sink j's column of ``form.to_sink``, from the sink, its last
+    position, sums the paths p -> t_j at every position p of the column."""
+    form = net.form
+    succ, rows = form.succ, [form.index[s] for s in net.sources]
+    one, mul, add = carrier.one, carrier._mul, carrier._add
+    out = []
+    for j in sinks:
+        reach = form.to_sink[j - 1]
+        end = reach.bit_length() - 1
+        sums = {end: one if paid[end] is None else paid[end]} if reach else {}
+        for p in range(end - 1, -1, -1):
+            if reach >> p & 1:
+                total = None
+                for u in succ[p]:
+                    if u in sums:
+                        total = sums[u] if total is None else add(total, sums[u])
+                w = paid[p]
+                sums[p] = total if w is None else mul(total, w)
+        out.append({r: sums[p] for r, p in enumerate(rows) if p in sums})
+    return out
 
 
 def _wedge(vectors, one, mul, add, neg, zero) -> dict:
@@ -471,21 +559,19 @@ def _wedge(vectors, one, mul, add, neg, zero) -> dict:
 
 def lindstrom_matrix(net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
     """n x n matrix whose (j, i) entry is the path-weight sum from source i to
-    sink j, row j one :func:`_column` pass.  On an admitted network
-    (:func:`_form`) the terminals lie in boundary order, so its minors are
-    the (I, J)-flow sums.  A network not admitted raises FlowError before
-    any weight is read, and so does a weighting that misses a vertex on some
-    source -> sink path."""
+    sink j, row j the :func:`_columns` column of sink j.  On an admitted
+    network (:func:`_form`) the terminals lie in boundary order, so its
+    minors are the (I, J)-flow sums.  A network not admitted raises
+    FlowError before any weight is read, and so does a weighting that misses
+    a vertex on some source -> sink path."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     if len(net.sinks) != len(net.sources):
         raise FlowError("path matrix needs equally many sources and sinks")
-    form = _form(net)
     paid = _charged(net, weighting, carrier)
-    one, mul, add, zero = carrier.one, carrier._mul, carrier._add, carrier.zero
-    sources = [form.index[s] for s in net.sources]
-    passes = (_column(form, paid, j, one, mul, add) for j in range(1, len(net.sinks) + 1))
-    return tuple(tuple(sums.get(p, zero) for p in sources) for sums in passes)
+    n, zero = len(net.sources), carrier.zero
+    columns = _columns(net, paid, carrier, range(1, n + 1))
+    return tuple(tuple(column.get(r, zero) for r in range(n)) for column in columns)
 
 
 def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int) -> dict:
@@ -493,8 +579,8 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
     ring carrier, keyed by the bitmask of A (bit i - 1 for source i).
 
     With the terminals in boundary order, Lindström–Gessel–Viennot and
-    Cauchy–Binet make the :func:`_wedge` of the :func:`_column` passes of
-    sinks 1..k the sum of f(A) e_A over the k-subsets A; a network that
+    Cauchy–Binet make the :func:`_wedge` of the :func:`_columns` of sinks
+    1..k the sum of f(A) e_A over the k-subsets A; a network that
     :func:`_form` does not admit raises FlowError before any weight is
     read."""
     if not carrier.is_ring:
@@ -503,13 +589,9 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
         raise FlowError("flag table needs k >= 0")
     if k > min(len(net.sources), len(net.sinks)):
         return {}
-    form = _form(net)
     paid = _charged(net, weighting, carrier)
-    one, mul, add = carrier.one, carrier._mul, carrier._add
-    rows = [form.index[s] for s in net.sources]
-    passes = (_column(form, paid, j, one, mul, add) for j in range(1, k + 1))
-    columns = [[(r, col[p]) for r, p in enumerate(rows) if p in col] for col in passes]
-    return _wedge(columns, one, mul, add, carrier._neg, carrier.zero)
+    columns = [list(column.items()) for column in _columns(net, paid, carrier, range(1, k + 1))]
+    return _wedge(columns, carrier.one, carrier._mul, carrier._add, carrier._neg, carrier.zero)
 
 
 def minor(matrix, I: Iterable[int], J: Iterable[int], carrier: Carrier):

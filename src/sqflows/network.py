@@ -10,9 +10,9 @@ admit a declared network only once :attr:`PlanarNetwork.problems` is empty.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations
 
 from ._record import Record
 
@@ -165,15 +165,16 @@ class PlanarNetwork(Record):
         sources with its sinks other than in boundary order, since every
         other pairing has an inverted pair of paths; the flow engines pair
         the k-th source with the k-th sink.  One reachability pass over pairs
-        of path heads, from every source pair at once (Perl and Shiloach,
-        JACM 1978): the live head earlier in topological order moves, never
-        onto the other head, so neither path can reach a position the other
-        has left.  A head at a sink may stop there for good, written ~p; it
-        then lies before the live head.  A pair is dropped when the largest
-        sink index the first head can still end at (``form.reach``; for a
-        stopped head, its own sinks') is no larger than the smallest the
-        second can: those sets only shrink along a path, so no pair after it
-        crosses either.  O(V^2 * degree) steps at most."""
+        of path heads (Perl and Shiloach, JACM 1978), from every pair of
+        sources at once: the live head earlier in topological order moves,
+        never onto the other head, so neither path can reach a position the
+        other has left.  A head at a sink may stop there for good, written
+        ~p; it then lies before the live head.  A pair is dropped, or never
+        seeded, when the largest sink index the first head can still end at
+        (``form.reach``; for a stopped head, its own sinks') is no larger
+        than the smallest the second can: those sets only shrink along a
+        path, so no pair after it crosses either.  O(V^2 * degree) steps at
+        most."""
         form = self.form
         if form is None:
             return None
@@ -189,11 +190,25 @@ class PlanarNetwork(Record):
             low = ends[b] & -ends[b]
             return 0 < low <= ends[a] >> 1
 
-        starts = [(index[s], i) for i, s in enumerate(self.sources, 1) if s in index]
+        # the seeds: each pair of sources i < i2 whose heads are crossable, in
+        # the order of i, then i2.  Walking the sources backwards keeps those
+        # after i sorted by the lowest sink they reach, so the ones a head at
+        # s_i can cross are a prefix, found by bisection.
         origin = {}  # state -> the source indices it was first reached from
-        for (a, i), (b, i2) in combinations(starts, 2):
-            if a != b and crossable(a, b):
-                origin.setdefault((a, b), (i, i2))
+        seeds, lows, later = [], [], []
+        for i in range(len(self.sources), 0, -1):
+            a = index.get(self.sources[i - 1])
+            if a is None or not ends[a]:
+                continue
+            seeds.append((i, a, sorted(later[: bisect_right(lows, ends[a] >> 1)])))
+            low = ends[a] & -ends[a]
+            at = bisect_right(lows, low)
+            lows.insert(at, low)
+            later.insert(at, (i, a))
+        for i, a, pairs in reversed(seeds):
+            for i2, b in pairs:
+                if a != b:
+                    origin.setdefault((a, b), (i, i2))
         stack = list(origin)
         while stack:
             state = stack.pop()

@@ -1,4 +1,7 @@
+import cProfile
+import pstats
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -413,6 +416,59 @@ def test_crossed_pairing_matches_brute_force(size, data):
     assert (net.crossed_pairing is not None) == _brute_crossing(net)
     split = vertex_split(net)
     assert (split.crossed_pairing is not None) == _brute_crossing(split)
+
+
+_WITNESS = re.compile(
+    r"crossed pairing: s(\d+) -> t(\d+) and s(\d+) -> t(\d+) have vertex-disjoint paths \((\S+) -> (\S+), (\S+) -> (\S+)\)"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_crossed_pairing_names_a_crossing(size, data):
+    # the check's witness is a real one: its indices i < i2 and j < j2 have
+    # vertex-disjoint paths s_i -> t_j2 and s_i2 -> t_j, and the names given
+    # are those terminals'
+    names = [f"v{k}" for k in range(size)]
+    edges = data.draw(st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                              .filter(lambda e: e[0] < e[1])))
+    terminals = st.lists(st.sampled_from(names), min_size=2, max_size=6)
+    net = PlanarNetwork(
+        vertices=tuple(names),
+        edges=tuple((names[a], names[b]) for a, b in sorted(edges)),
+        sources=tuple(data.draw(terminals)),
+        sinks=tuple(data.draw(terminals)),
+    )
+    for each in (net, vertex_split(net)):
+        text = each.crossed_pairing
+        if text is None:
+            continue
+        found = _WITNESS.fullmatch(text)
+        i, j2, i2, j = map(int, found.group(1, 2, 3, 4))
+        assert i < i2 and j < j2
+        s, s2, t, t2 = each.sources[i - 1], each.sources[i2 - 1], each.sinks[j - 1], each.sinks[j2 - 1]
+        assert found.group(5, 6, 7, 8) == (s, t2, s2, t)
+        firsts, seconds = all_simple_paths(each, s, t2), all_simple_paths(each, s2, t)
+        assert any(not set(first) & set(second) for first in firsts for second in seconds)
+
+
+def test_ladder_check_seeds_no_source_pair():
+    # on a ladder of disjoint rungs s_i -> t_i no pair of sources can cross,
+    # so the check seeds none and never asks whether two heads are crossable
+    # (the unseeded loop asked 79 800 times for these 400 rungs)
+    rungs = tuple((f"s{i}", f"t{i}") for i in range(400))
+    ladder = PlanarNetwork(
+        vertices=tuple(v for rung in rungs for v in rung),
+        edges=rungs,
+        sources=tuple(s for s, _ in rungs),
+        sinks=tuple(t for _, t in rungs),
+    )
+    ladder.form
+    profile = cProfile.Profile()
+    profile.runcall(lambda: ladder.crossed_pairing)
+    calls = {code[2]: stats[1] for code, stats in pstats.Stats(profile).stats.items()}
+    assert ladder.crossed_pairing is None
+    assert calls.get("crossable", 0) == 0
 
 
 def _reach_by_search(net):

@@ -1,7 +1,9 @@
 """The frontier sweep behind f(I) and the path matrix, checked against
 enumeration (``enumerate_flag_flows`` + ``flow_weight``) and the brute-force
 oracle, value and type, and for the same errors; the exterior-product table
-(``flag_table``) checked against the sweep and the oracle."""
+(``flag_table``) checked against the sweep and the oracle; the ring engine of
+``FlowFunction`` (path-matrix minors over nat, int and posrat) checked
+against the sweep, the flag table and the interval reconstruction."""
 
 import random
 import re
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _brute import naive_disjoint_systems, naive_flag_flows
+from sqflows import cli, flows
 from sqflows.counterexample import build_gadget_network
 from sqflows.flows import (
     Flow,
@@ -25,8 +28,10 @@ from sqflows.flows import (
     flow_weight,
     lindstrom_matrix,
     list_flows,
+    minor,
     undefined_value,
 )
+from sqflows.laurent import intervals_of, reconstruct_from_intervals
 from sqflows.matchings import collection, enumerate_nested_matchings
 from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, vertex_split
 from sqflows.relations import QuadraticRelation, random_weighting, symbolic_check
@@ -36,6 +41,7 @@ from sqflows.semiring import (
     EXACT_INT,
     POLY_INT,
     POLY_NAT,
+    POSITIVE_RATIONAL,
     STAR,
     CarrierMismatch,
     Poly,
@@ -518,3 +524,122 @@ def test_a_bad_weight_raises_though_no_flow_pays():
     ):
         with pytest.raises(FlowError, match="missing vertex 'v3'"):
             call()
+
+
+RING_ENGINE = (COUNTING_NAT, EXACT_INT, POSITIVE_RATIONAL)
+
+
+def swept(net, weighting, I, carrier):
+    """f(I) by the frontier sweep alone; f of the empty set is the empty
+    product."""
+    I = tuple(sorted(I))
+    if not I:
+        return carrier.product(())
+    if len(I) > len(net.sinks):
+        return undefined_value(carrier)
+    paid = flows._charged(net, weighting, carrier)
+    total = flows._flow_sum(net, paid, I, range(1, len(I) + 1), carrier)
+    return undefined_value(carrier) if total is None else total
+
+
+@st.composite
+def ring_cases(draw):
+    """A network, a nat, int or posrat weighting (over posrat: all ints, all
+    Fractions, or a mix), and index sets to ask in turn."""
+    net = draw(networks())
+    carrier = draw(st.sampled_from(RING_ENGINE))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    weighting = random_weighting(net.original_vertices() or net.vertices, carrier, rng)
+    if carrier is POSITIVE_RATIONAL:
+        kind = draw(st.sampled_from(("int", "Fraction", "mixed")))
+        for v, x in weighting.items():
+            if kind == "int":
+                weighting[v] = rng.randint(1, 9)
+            elif kind == "mixed" and rng.random() < 0.5:
+                weighting[v] = rng.randint(1, 9)
+    sets = draw(st.lists(st.sets(st.integers(1, len(net.sources))), min_size=1, max_size=6))
+    return net, weighting, sets, carrier
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ring_cases())
+def test_ring_engine_matches_the_sweep(case):
+    # one FlowFunction asks its sets in turn, so its columns grow as |I|
+    # does; every answer has the sweep's value and type
+    net, weighting, sets, carrier = case
+    f = FlowFunction(net, weighting, carrier)
+    for I in sets:
+        assert same(f(I), swept(net, weighting, I, carrier))
+
+
+def test_ring_engine_on_every_set_of_small_grids():
+    # thin random grids leave many sets without a flow: a zero minor is 0
+    # over nat and int, and undefined (None) over posrat
+    for seed in range(12):
+        net = random_grid_network(4, 1 + seed % 2, random.Random(seed))
+        for carrier in RING_ENGINE:
+            weighting = random_weighting(net.vertices, carrier, random.Random(seed))
+            f = FlowFunction(net, weighting, carrier)
+            for size in range(len(net.sources) + 1):
+                for I in combinations(range(1, len(net.sources) + 1), size):
+                    assert same(f(I), swept(net, weighting, I, carrier))
+
+
+def test_determinant_matches_the_wedge():
+    # sparse integer matrices, so that pivots are often zero and rows swap
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        matrix = [[rng.choice((0, 0, 0, 1, -1, 2, 5)) for _ in range(n)] for _ in range(n)]
+        expected = minor(matrix, range(1, n + 1), range(1, n + 1), EXACT_INT) if n else 1
+        assert flows._determinant([row[:] for row in matrix]) == expected
+
+
+def test_ring_engine_runs_without_the_sweep(monkeypatch, capsys, tmp_path):
+    # f(I) over nat, int and posrat on halfgrid:12, and the numeric verify,
+    # are the sweep's with the sweep made to raise
+    g = build_half_grid(12)
+    rng = random.Random(12)
+    sets = [rng.sample(range(1, 13), rng.randint(0, 12)) for _ in range(40)]
+    weightings = {c: random_weighting(g.vertices, c, random.Random(c.name)) for c in RING_ENGINE}
+    expected = {c: [swept(g, weightings[c], I, c) for I in sets] for c in RING_ENGINE}
+
+    def refuse(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(flows, "_flow_sum", refuse)
+    for carrier in RING_ENGINE:
+        f = FlowFunction(g, weightings[carrier], carrier)
+        got = [f(I) for I in sets]
+        assert list(map(type, got)) == list(map(type, expected[carrier]))
+        assert got == expected[carrier]
+    pair = tmp_path / "pair.txt"
+    pair.write_text("2 1\n1 2\n--\n1 3\n")
+    argv = ["verify", "--mode", "numeric", "--network", "halfgrid:12", "--trials", "4", "--seed", "5"]
+    assert cli.main([*argv, "family:quintuple"]) == 0
+    assert capsys.readouterr().out == "numeric sweep on halfgrid:12: 12 instances pass\n"
+    assert cli.main([*argv, str(pair)]) == 1
+    assert capsys.readouterr().out == (
+        "numeric sweep on halfgrid:12: 4 of 12 instances FAIL\n"
+        "first failure: carrier=posrat trial=0 X=[1, 2, 3, 5, 10] Y=[7, 8, 12] "
+        "lhs=56659778034900704620621894031/4464104400000000000000 "
+        "rhs=316386712152359698726824063045553/12959473637376000000000000\n"
+    )
+
+
+def test_ring_engine_matches_the_flag_table_and_intervals_on_halfgrid_30():
+    # every 4-subset over int against the wedge of four columns, and a few
+    # sets over posrat against reconstruction from the interval values
+    g = build_half_grid(30)
+    rng = random.Random(30)
+    weighting = {v: rng.choice((-2, -1, 1, 2, 3)) for v in g.vertices}
+    f = FlowFunction(g, weighting, EXACT_INT)
+    table = flag_table(g, weighting, EXACT_INT, 4)
+    assert all(f(A) == table.get(_mask(A), 0) for A in combinations(range(1, 31), 4))
+    weighting = random_weighting(g.vertices, POSITIVE_RATIONAL, rng)
+    f = FlowFunction(g, weighting, POSITIVE_RATIONAL)
+    vals = intervals_of(weighting, 30, POSITIVE_RATIONAL)
+    for size in (2, 3, 5, 8, 13):
+        A = rng.sample(range(1, 31), size)
+        assert f(A) == reconstruct_from_intervals(vals, A, 30, POSITIVE_RATIONAL)
+        assert type(f(A)) is Fraction
