@@ -357,18 +357,16 @@ def cmd_doubleflow_audit(args) -> int:
     net = _load_network(args.network)
     if not net.is_split:
         net = nw.vertex_split(net)
-    I = _int_list(args.i_set)
-    J = _int_list(args.j_set)
-    listings = [list_flows(net, S, None, tuple) for S in (I, J)]
+    listings = [list_flows(net, _int_list(S), None, tuple) for S in (args.i_set, args.j_set)]
     sizes = [listing.count() for listing in listings]
     if not all(sizes):
         raise CliError("one of the index sets admits no flag flow")
     if not 0 <= args.phi < sizes[0] or not 0 <= args.phi_prime < sizes[1]:
         raise CliError(f"flow indices out of range (|Phi_I| = {sizes[0]}, |Phi_J| = {sizes[1]})")
-    # only the two chosen flows are built; list_flows has checked I and J
+    # only the two chosen flows are built
     phi, phi_prime = (
-        Flow(next(islice(listing, at, None)), tuple(sorted(S)), tuple(range(1, len(S) + 1)), net)
-        for listing, at, S in zip(listings, (args.phi, args.phi_prime), (I, J))
+        Flow(next(islice(listing, at, None)), listing.sources, listing.sinks, net)
+        for listing, at in zip(listings, (args.phi, args.phi_prime))
     )
     df = dfmod.superpose(phi, phi_prime)
     dec = dfmod.decompose(df)

@@ -32,15 +32,18 @@ element.  Past that check every engine runs the raw carrier operations.
 
 Over a ring, three helpers carry the Lindström–Gessel–Viennot lemma: one
 backward pass per sink over its column of the table gives the path-matrix
-columns (:func:`_columns`), a sparse exterior product wedges vectors
-(:func:`_wedge`), and :func:`_determinant` takes an integer determinant.
-They serve :class:`FlowFunction`, :func:`lindstrom_matrix`, :func:`minor`
-and :func:`flag_table`.
+columns (:func:`_columns`), :func:`_determinant` takes an integer
+determinant, and a sparse exterior product (:func:`_wedge`) gives the
+table of every k-subset and the minors over polynomials.  They serve
+:class:`FlowFunction`, :func:`lindstrom_matrix`, :func:`minor` and
+:func:`flag_table`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from fractions import Fraction
+from math import lcm
 
 from ._record import Record
 from .network import NetworkForm, PlanarNetwork
@@ -225,12 +228,12 @@ def _systems(nodes):
 class FlowListing:
     """The flows of one listing, from the DAG built when it was made:
     iterating walks the DAG in order, and :meth:`count` sums it without a
-    walk."""
+    walk.  ``sources`` and ``sinks`` are the sorted, checked I and J."""
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "sources", "sinks")
 
-    def __init__(self, nodes):
-        self._nodes = nodes
+    def __init__(self, nodes, sources: tuple[int, ...], sinks: tuple[int, ...]):
+        self._nodes, self.sources, self.sinks = nodes, sources, sinks
 
     def __iter__(self):
         return _systems(self._nodes)
@@ -256,22 +259,6 @@ def _check_indices(label: str, ids: Iterable[int], n: int) -> tuple[int, ...]:
     return out
 
 
-def _listing(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label):
-    """Checked (I, J) and the listing of their flows, as :func:`list_flows`
-    gives it; J None stands for the first |I| sinks, the flag flows, of
-    which there are none when I outnumbers the sinks."""
-    I = _check_indices("source", I, len(net.sources))
-    if J is None:
-        J = tuple(range(1, len(I) + 1))
-        if len(I) > len(net.sinks):
-            return I, J, FlowListing(None)
-    else:
-        J = _check_indices("sink", J, len(net.sinks))
-        if len(I) != len(J):
-            raise FlowError("index sets must have equal size")
-    return I, J, FlowListing(_dag(net, I, J, label))
-
-
 def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, label) -> FlowListing:
     """The (I, J)-flows, or the flag flows for I when J is None, in the order
     of :func:`enumerate_flows`; each flow is the tuple of ``label(names)``
@@ -279,14 +266,24 @@ def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, la
     runs once per distinct path of the listing, not once per flow, so it may
     be a costly map (a rendered line, a packed degree vector).  Index sets are
     checked and the DAG is built at the call; iterating the listing walks it,
-    and its ``count()`` needs no walk."""
-    return _listing(net, I, J, label)[2]
+    and its ``count()`` needs no walk.  J None stands for the first |I|
+    sinks, of which there are no flows when I outnumbers the sinks."""
+    I = _check_indices("source", I, len(net.sources))
+    if J is None:
+        J = tuple(range(1, len(I) + 1))
+        if len(I) > len(net.sinks):
+            return FlowListing(None, I, J)
+    else:
+        J = _check_indices("sink", J, len(net.sinks))
+        if len(I) != len(J):
+            raise FlowError("index sets must have equal size")
+    return FlowListing(_dag(net, I, J, label), I, J)
 
 
 def _listed(net: PlanarNetwork, I, J) -> tuple[Flow, ...]:
     """The flows as :class:`Flow` objects, listed afresh on each call."""
-    I, J, systems = _listing(net, I, J, tuple)
-    return tuple(Flow(paths=paths, source_indices=I, sink_indices=J, network=net) for paths in systems)
+    listing = list_flows(net, I, J, tuple)
+    return tuple(Flow(paths, listing.sources, listing.sinks, net) for paths in listing)
 
 
 def enumerate_flag_flows(net: PlanarNetwork, I: Iterable[int]) -> tuple[Flow, ...]:
@@ -459,10 +456,7 @@ class FlowFunction:
 
     def _choose_engine(self):
         """Start the ring engine's columns where it serves the carrier and the
-        charged weights.  ``fractions`` and ``math`` come in with the package
-        already, so the imports here cost no start-up."""
-        from fractions import Fraction
-
+        charged weights."""
         carrier = self.carrier
         kinds = {type(w) for w in self._paid if w is not None}
         if carrier in (COUNTING_NAT, EXACT_INT, POSITIVE_RATIONAL) and kinds <= {int}:
@@ -474,8 +468,6 @@ class FlowFunction:
         """f(I) by the ring engine, or None for a zero minor."""
         k, columns, scales = len(I), self._columns, self._scales
         if len(columns) < k:
-            from math import lcm
-
             for column in _columns(self.network, self._paid, self.carrier, range(len(columns) + 1, k + 1)):
                 scale = lcm(*(x.denominator for x in column.values()))
                 columns.append({r: x.numerator * (scale // x.denominator) for r, x in column.items()})
@@ -534,12 +526,14 @@ def _columns(net: PlanarNetwork, paid: tuple, carrier: Carrier, sinks: Iterable[
     return out
 
 
-def _wedge(vectors, one, mul, add, neg, zero) -> dict:
+def _wedge(vectors, carrier: Carrier) -> dict:
     """The exterior product of ``vectors``, lists of (r, coordinate on e_r),
-    as a dict from the bitmask of S to the coordinate of e_S; the sign of
-    e_S ^ e_r is the parity of the members of S above r.  Coordinates equal
-    to ``zero`` are dropped after each factor."""
-    table = {0: one}
+    over a ring carrier, as a dict from the bitmask of S to the coordinate
+    of e_S; the sign of e_S ^ e_r is the parity of the members of S above r.
+    Coordinates equal to the carrier's zero are dropped after each factor.
+    It costs up to 2^k coordinates for k vectors."""
+    mul, add, neg, zero = carrier._mul, carrier._add, carrier._neg, carrier.zero
+    table = {0: carrier.one}
     for vector in vectors:
         column = [(r, 1 << r, (x, neg(x))) for r, x in vector]
         wedge = {}
@@ -591,14 +585,16 @@ def flag_table(net: PlanarNetwork, weighting: Mapping, carrier: Carrier, k: int)
         return {}
     paid = _charged(net, weighting, carrier)
     columns = [list(column.items()) for column in _columns(net, paid, carrier, range(1, k + 1))]
-    return _wedge(columns, carrier.one, carrier._mul, carrier._add, carrier._neg, carrier.zero)
+    return _wedge(columns, carrier)
 
 
 def minor(matrix, I: Iterable[int], J: Iterable[int], carrier: Carrier):
     """Determinant of the submatrix with column set I and row set J over a
-    ring carrier: the coordinate of e_1 ^ ... ^ e_k in the wedge of its rows
-    (:func:`_wedge`).  The index sets are checked against the matrix and its
-    entries against the carrier.  The empty minor is one."""
+    ring carrier: over ``int`` by :func:`_determinant`, over polynomials,
+    which have no exact division, as the coordinate of e_1 ^ ... ^ e_k in
+    the wedge of its rows (:func:`_wedge`).  The index sets are checked
+    against the matrix and its entries against the carrier.  The empty minor
+    is one."""
     if not carrier.is_ring:
         raise SemiringError(f"{carrier.name} is not a ring")
     cols = _check_indices("column", I, min(map(len, matrix), default=0))
@@ -607,7 +603,7 @@ def minor(matrix, I: Iterable[int], J: Iterable[int], carrier: Carrier):
         raise FlowError("minor needs |I| = |J|")
     sub = [[matrix[j - 1][i - 1] for i in cols] for j in rows]
     carrier.check(*(x for row in sub for x in row))
-    zero = carrier.zero
-    vectors = [[(c, x) for c, x in enumerate(row) if x != zero] for row in sub]
-    table = _wedge(vectors, carrier.one, carrier._mul, carrier._add, carrier._neg, zero)
-    return table.get((1 << len(cols)) - 1, zero)
+    if carrier is EXACT_INT:
+        return _determinant(sub)
+    vectors = [[(c, x) for c, x in enumerate(row) if x != carrier.zero] for row in sub]
+    return _wedge(vectors, carrier).get((1 << len(cols)) - 1, carrier.zero)

@@ -253,13 +253,14 @@ class PlanarNetwork(Record):
                 met.add(v)
                 if v not in seen:
                     problems.append(f"{label} not a vertex: {v}")
-        for i, s in enumerate(self.sources):
-            for j, t in enumerate(self.sinks):
-                if s == t:
-                    first = i == 0 and j == 0
-                    last = i == len(self.sources) - 1 and j == len(self.sinks) - 1
-                    if not (first or last):
-                        problems.append(f"source s{i + 1} coincides with sink t{j + 1}: {s}")
+        sink_at = {}
+        for j, t in enumerate(self.sinks, start=1):
+            sink_at.setdefault(t, []).append(j)
+        ends = {(1, 1), (len(self.sources), len(self.sinks))}
+        for i, s in enumerate(self.sources, start=1):
+            for j in sink_at.get(s, ()):
+                if (i, j) not in ends:
+                    problems.append(f"source s{i} coincides with sink t{j}: {s}")
         edge_seen = set()
         for tail, head in self.edges:
             if tail not in seen:

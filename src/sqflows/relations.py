@@ -95,8 +95,9 @@ def instantiate(rel: QuadraticRelation, inst: Instantiation):
 
 def _sum_side(f: FlowFunction, pairs):
     """Sum of f(I) * f(J) over the index-set pairs, as in :func:`evaluate_sides`.
-    The raw carrier operations suffice: every f-value comes from a sweep
-    whose weights were checked once, when it charged them."""
+    The raw carrier operations suffice: every f-value, whether a sweep or a
+    path-matrix minor gives it, is made of weights checked once, when
+    ``f`` charged them."""
     carrier = f.carrier
     mul, add = carrier._mul, carrier._add
     total = None

@@ -117,6 +117,18 @@ def tuple_laurent(n, A):
     return sorted(monos)
 
 
+def coinciding_terminals(sources, sinks):
+    """The network check's messages for a source that is also a sink, by
+    comparing every source with every sink: all but s1 = t1 and the last
+    source as the last sink, source index first, then sink index."""
+    out = []
+    for i, s in enumerate(sources, start=1):
+        for j, t in enumerate(sinks, start=1):
+            if s == t and (i, j) not in ((1, 1), (len(sources), len(sinks))):
+                out.append(f"source s{i} coincides with sink t{j}: {s}")
+    return out
+
+
 def naive_feasible_matchings(a_set, p, q):
     """Filter every set of q disjoint arcs on [p+q] through is_feasible."""
     n = p + q

@@ -742,6 +742,21 @@ def test_reader_reads_as_argparse(argv):
     assert not (parsed is not None and plain), argv
 
 
+def test_reader_leaves_a_repeated_option_to_argparse(capsys):
+    # argparse checks every value of a repeated option, not only the last
+    # one it keeps, so a bad first value is an error there: the reader must
+    # not read past it
+    for argv, message in (
+        (["enumerate-matchings", "-p", "x", "-p", "2", "-q", "1", "-A", "1"], "argument -p: invalid int value: 'x'"),
+        (["laurent", "-n", "3", "-A", "1", "--format", "xml", "--format", "text"], "argument --format: invalid choice: 'xml'"),
+    ):
+        assert _read(argv) is None
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 # the argv forms of the benchmark's operations (perfbench/workloads.py)
 WORKLOAD_ARGV = [
     ["verify", "family:triple", "--mode", "numeric", "--network", "halfgrid:9",

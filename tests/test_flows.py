@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import det_cofactor, det_leibniz, naive_disjoint_systems, naive_flag_flows
+from sqflows import flows
 from sqflows.flows import (
     FlowError,
     FlowFunction,
@@ -19,6 +20,7 @@ from sqflows.flows import (
     list_flows,
     minor,
 )
+from sqflows.laurent import intervals_of, reconstruct_from_intervals
 from sqflows.network import PlanarNetwork, build_half_grid, random_grid_network, vertex_split
 from sqflows.semiring import (
     COUNTING_NAT,
@@ -255,6 +257,44 @@ def test_minor_matches_leibniz(data):
     ours = minor(matrix, I, J, carrier)
     assert ours == det_leibniz(sub, carrier)
     assert type(ours) is type(carrier.one)
+
+
+def test_minor_takes_the_wedge_only_over_polynomials(monkeypatch):
+    # over int the minor is the elimination's; over polyint, the wedge's
+    calls = []
+    wedge = flows._wedge
+
+    def refuse(vectors, carrier):
+        if carrier is EXACT_INT:
+            raise AssertionError("the wedge ran over int")
+        calls.append(carrier)
+        return wedge(vectors, carrier)
+
+    monkeypatch.setattr(flows, "_wedge", refuse)
+    assert minor(((2, 1), (1, 1)), {1, 2}, {1, 2}, EXACT_INT) == 1
+    assert minor(((2, 1), (4, 2)), {1, 2}, {1, 2}, EXACT_INT) == 0
+    assert minor(((1, 2, 3),), (), (), EXACT_INT) == 1
+    x = Poly.variable("x")
+    assert minor(((x, Poly.const(1)), (Poly.const(1), x)), {1, 2}, {1, 2}, POLY_INT) == x * x + Poly.const(-1)
+    assert calls == [POLY_INT]
+
+
+def test_minor_of_halfgrid_30_path_matrix():
+    # unit weights: the matrix of binomial path counts is unitriangular, and
+    # its 30 x 30 leading minor (2^30 wedge coordinates) is 1
+    g = build_half_grid(30)
+    matrix = lindstrom_matrix(g, dict.fromkeys(g.vertices, 1), EXACT_INT)
+    assert minor(matrix, range(1, 31), range(1, 31), EXACT_INT) == 1
+    # positive weights: a minor on A's columns and the first |A| sink rows is
+    # f(A), which the interval reconstruction gives by division over posrat
+    rng = random.Random(30)
+    weighting = {v: rng.randint(1, 5) for v in g.vertices}
+    matrix = lindstrom_matrix(g, weighting, EXACT_INT)
+    vals = intervals_of(weighting, 30, POSITIVE_RATIONAL)
+    for size in (5, 12, 20):
+        A = sorted(rng.sample(range(1, 31), size))
+        expected = reconstruct_from_intervals(vals, A, 30, POSITIVE_RATIONAL)
+        assert minor(matrix, A, range(1, size + 1), EXACT_INT) == expected
 
 
 def test_lindstrom_equivalence():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import all_simple_paths
+from _brute import all_simple_paths, coinciding_terminals
 
 import sqflows.doubleflow as dfmod
 from sqflows.cli import main
@@ -152,6 +152,26 @@ def test_validate_allows_end_coincidence():
         sinks=("b", "c"),
     )
     assert any("coincides" in p for p in validate(net))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coinciding_terminals_match_brute_force(data):
+    # terminals drawn from a few names, so that they repeat within a side and
+    # are shared across the sides; one of them is no vertex
+    names = ["a", "b", "c", "ghost"]
+    terminals = st.lists(st.sampled_from(names), max_size=6)
+    net = PlanarNetwork(
+        vertices=("a", "b", "c"),
+        edges=(("a", "b"), ("b", "c")),
+        sources=tuple(data.draw(terminals)),
+        sinks=tuple(data.draw(terminals)),
+    )
+    problems = validate(net)
+    at = [k for k, p in enumerate(problems) if " coincides with sink " in p]
+    assert [problems[k] for k in at] == coinciding_terminals(net.sources, net.sinks)
+    if at:  # one block, as the check lists them
+        assert at == list(range(at[0], at[-1] + 1))
 
 
 def test_vertex_split_counts_on_gamma3():
