@@ -7,7 +7,10 @@ other carrier, and over a ``posrat`` weighting that mixes ``int`` and
 ``Fraction`` weights, it comes from a frontier sweep over the vertices in
 topological order (the transfer-matrix method): it sums weight products over
 labelled partial path systems without listing them, using only the
-carrier's addition and multiplication.  Enumeration lists the flows
+carrier's addition and multiplication.  Over ``troprat``, when every weight
+is a ``Fraction``, the sweep runs in ``tropint`` on the weights times the lcm
+L of their denominators, and f(I) is its result divided by L: x -> L x with
+L > 0 keeps both max and +, so this is exact.  Enumeration lists the flows
 themselves, for the commands and modules that output every flow (``flows``,
 double flows, Laurent expansion).  It builds a DAG of path choices once per
 listing: node (k, key) holds the ways path k can continue a system whose
@@ -47,7 +50,17 @@ from math import lcm
 
 from ._record import Record
 from .network import NetworkForm, PlanarNetwork
-from .semiring import COUNTING_NAT, EXACT_INT, POSITIVE_RATIONAL, STAR, Carrier, SemiringError, Starred
+from .semiring import (
+    COUNTING_NAT,
+    EXACT_INT,
+    POSITIVE_RATIONAL,
+    STAR,
+    TROPICAL_INT,
+    TROPICAL_RATIONAL,
+    Carrier,
+    SemiringError,
+    Starred,
+)
 
 
 class FlowError(ValueError):
@@ -415,10 +428,23 @@ class FlowFunction:
     each scaled to integers by the lcm of its denominators; a
     :func:`_determinant` over ``int`` then gives each minor.  Over
     ``posrat`` every weight is positive, so a zero minor means no flow.
-    Every other case keeps the sweep (:func:`_flow_sum`), whose result type
-    the ring engine matches: ``int`` from ``int`` weights, ``Fraction`` from
-    ``Fraction`` ones; a ``posrat`` weighting that mixes the two gives
-    whichever type its flows pay."""
+
+    Over ``troprat``, when every charged weight is a ``Fraction`` (as every
+    CLI weighting and ``random_weighting`` is), the charged weights are
+    replaced once by their integer multiples L w, L the lcm of their
+    denominators, and the sweep (:func:`_flow_sum`) runs on them in
+    ``tropint``.  A flow's weight is a sum of weights and f(I) the max of
+    those sums, and x -> L x with L > 0 keeps both order and addition, so
+    f(I) is exactly ``Fraction(sweep, L)``; the sweep's None, no system,
+    stays undefined.
+
+    Every other case keeps the sweep in the carrier's own arithmetic, whose
+    result type the other engines match: ``int`` from ``int`` weights,
+    ``Fraction`` from ``Fraction`` ones.  There the type may depend on
+    which operations ran: a ``posrat`` weighting that mixes ``int`` and
+    ``Fraction`` gives whichever type its flows pay, and over ``troprat``
+    an ``int`` or mixed weighting, or ``Starred(troprat)``, gives a
+    ``Fraction`` only where a max ran or a flow paid one."""
 
     def __init__(self, net: PlanarNetwork, weighting: Mapping, carrier: Carrier):
         self.network = net
@@ -431,6 +457,9 @@ class FlowFunction:
         # columns' scales; None for the sweep.  _ratio is Fraction where the
         # engine answers in Fractions, else None.
         self._columns = self._scales = self._ratio = None
+        # over troprat, the lcm of the weights' denominators when the sweep
+        # runs on their integer multiples, else None
+        self._scale = None
 
     def __call__(self, I: Iterable[int]):
         I = tuple(I)
@@ -449,6 +478,9 @@ class FlowFunction:
                     total = carrier.product(())
                 elif self._columns is not None:
                     total = self._minor(I)
+                elif self._scale is not None:
+                    total = _flow_sum(net, self._paid, I, range(1, len(I) + 1), TROPICAL_INT)
+                    total = None if total is None else Fraction(total, self._scale)
                 else:
                     total = _flow_sum(net, self._paid, I, range(1, len(I) + 1), carrier)
             self._memo[key] = undefined_value(carrier) if total is None else total
@@ -456,13 +488,18 @@ class FlowFunction:
 
     def _choose_engine(self):
         """Start the ring engine's columns where it serves the carrier and the
-        charged weights."""
-        carrier = self.carrier
-        kinds = {type(w) for w in self._paid if w is not None}
+        charged weights, or scale an all-``Fraction`` ``troprat`` weighting to
+        integers."""
+        carrier, paid = self.carrier, self._paid
+        kinds = {type(w) for w in paid if w is not None}
         if carrier in (COUNTING_NAT, EXACT_INT, POSITIVE_RATIONAL) and kinds <= {int}:
             self._columns, self._scales = [], [1]
         elif carrier is POSITIVE_RATIONAL and kinds == {Fraction}:
             self._columns, self._scales, self._ratio = [], [1], Fraction
+        elif carrier is TROPICAL_RATIONAL and kinds == {Fraction}:
+            scale = lcm(*(w.denominator for w in paid if w is not None))
+            self._paid = tuple(None if w is None else w.numerator * (scale // w.denominator) for w in paid)
+            self._scale = scale
 
     def _minor(self, I: tuple[int, ...]):
         """f(I) by the ring engine, or None for a zero minor."""

@@ -3,7 +3,9 @@ enumeration (``enumerate_flag_flows`` + ``flow_weight``) and the brute-force
 oracle, value and type, and for the same errors; the exterior-product table
 (``flag_table``) checked against the sweep and the oracle; the ring engine of
 ``FlowFunction`` (path-matrix minors over nat, int and posrat) checked
-against the sweep, the flag table and the interval reconstruction."""
+against the sweep, the flag table and the interval reconstruction; and the
+``troprat`` sweep on integer multiples of the weights checked against the
+sweep in ``Fraction`` arithmetic."""
 
 import random
 import re
@@ -42,6 +44,7 @@ from sqflows.semiring import (
     POLY_NAT,
     POSITIVE_RATIONAL,
     STAR,
+    TROPICAL_RATIONAL,
     CarrierMismatch,
     Poly,
     SemiringError,
@@ -645,3 +648,98 @@ def test_ring_engine_matches_the_flag_table_and_intervals_on_halfgrid_30():
         A = rng.sample(range(1, 31), size)
         assert f(A) == reconstruct_from_intervals(vals, A, 30, POSITIVE_RATIONAL)
         assert type(f(A)) is Fraction
+
+
+# distinct primes, so that the lcm of a weighting's denominators grows with
+# every prime it draws, up to about 140 bits
+PRIMES = (2, 3, 7, 101, 65537, 999983, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def tropical_cases(draw):
+    """A network, a troprat weighting whose weights are all Fractions (signed
+    and zero ones, or over large coprime denominators), all ints, or a mix,
+    and index sets to ask in turn."""
+    net = draw(networks())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    weighting = random_weighting(net.original_vertices() or net.vertices, TROPICAL_RATIONAL, rng)
+    kind = draw(st.sampled_from(("Fraction", "coprime", "int", "mixed")))
+    for v in weighting:
+        if kind == "coprime":
+            weighting[v] = Fraction(rng.randint(-(10**9), 10**9), rng.choice(PRIMES))
+        elif kind == "int" or kind == "mixed" and rng.random() < 0.5:
+            weighting[v] = rng.randint(-9, 9)
+    sets = draw(st.lists(st.sets(st.integers(1, len(net.sources))), min_size=1, max_size=6))
+    return net, weighting, sets
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tropical_cases())
+def test_troprat_sweep_in_integers_matches_the_sweep(case):
+    # max and + commute with x -> L x for L > 0, so sweeping L w in tropint
+    # and dividing by L is the Fraction sweep exactly: one FlowFunction asks
+    # its sets in turn, and every answer, f of the empty set and undefined
+    # for no flow included, has the sweep's value and type
+    net, weighting, sets = case
+    f = FlowFunction(net, weighting, TROPICAL_RATIONAL)
+    for I in sets:
+        assert same(f(I), swept(net, weighting, I, TROPICAL_RATIONAL))
+
+
+def test_troprat_sweep_runs_without_fraction_arithmetic(monkeypatch):
+    # f(I) over troprat on halfgrid:12 with every weight a Fraction is the
+    # sweep's with troprat's own max and + made to raise
+    g = build_half_grid(12)
+    rng = random.Random(12)
+    sets = [rng.sample(range(1, 13), rng.randint(0, 12)) for _ in range(40)]
+    weighting = random_weighting(g.vertices, TROPICAL_RATIONAL, rng)
+    assert {type(x) for x in weighting.values()} == {Fraction}
+    expected = [swept(g, weighting, I, TROPICAL_RATIONAL) for I in sets]
+
+    def refuse(*args):
+        raise AssertionError("troprat arithmetic ran")
+
+    monkeypatch.setattr(TROPICAL_RATIONAL, "_add", refuse)
+    monkeypatch.setattr(TROPICAL_RATIONAL, "_mul", refuse)
+    f = FlowFunction(g, weighting, TROPICAL_RATIONAL)
+    got = [f(I) for I in sets]
+    assert list(map(type, got)) == list(map(type, expected))
+    assert got == expected
+    assert same(f(()), Fraction(0))
+
+
+class SweptFunction:
+    """A stand-in for FlowFunction that takes every f(I) by the sweep in the
+    carrier's own arithmetic."""
+
+    def __init__(self, net, weighting, carrier):
+        self.network, self.weighting, self.carrier = net, weighting, carrier
+
+    def __call__(self, I):
+        return swept(self.network, self.weighting, I, self.carrier)
+
+
+def test_troprat_failures_render_the_sweeps_sums(monkeypatch, tmp_path):
+    # a failing troprat instance of verify reports the sides as the Fraction
+    # sweep gives them: integral ones without a denominator, the others in
+    # lowest terms
+    pair = tmp_path / "pair.txt"
+    pair.write_text("2 1\n1 2\n--\n1 3\n")
+    relation = cli._load_relation(str(pair))
+    sums = {
+        ("halfgrid:3", 1): ("2", "5/2"),
+        ("halfgrid:3", 3): ("23/18", "1007/126"),
+        ("halfgrid:9", 2): ("41/10", "149/30"),
+    }
+    reports = {}
+    for spec, trial in sums:
+        ok, detail = cli._run_verify_task(relation, cli._load_network(spec), "troprat", trial, 5)
+        assert not ok
+        assert (detail["lhs"], detail["rhs"]) == sums[spec, trial]
+        reports[spec, trial] = detail
+    monkeypatch.setattr(cli, "FlowFunction", SweptFunction)
+    for spec, trial in sums:
+        assert cli._run_verify_task(relation, cli._load_network(spec), "troprat", trial, 5) == (
+            False,
+            reports[spec, trial],
+        )
