@@ -91,11 +91,20 @@ def _int_list(text: str) -> tuple[int, ...]:
 _BLOCK = 4096
 
 
-def _emit(args, command: str, ok: bool, lines, data: dict, key: str | None = None, items=()) -> None:
+def _runs(entries, sep: str):
+    """The ``entries`` joined by ``sep``, _BLOCK to a string."""
+    entries = iter(entries)
+    while block := list(islice(entries, _BLOCK)):
+        yield sep.join(block)
+
+
+def _emit(args, command: str, ok: bool, lines, data: dict, key: str | None = None, items=(), joined=False) -> None:
     """Write the report of ``command`` to stdout, _BLOCK entries per write, so
     a listing is never held whole.  Text is the ``lines``, each ended by a
     newline.  JSON is {"schema": 1, "command", "ok", "data"}; with ``key``,
-    ``data[key]`` is the array of the pre-encoded JSON ``items``."""
+    ``data[key]`` is the array of the pre-encoded JSON ``items``.  When
+    ``joined``, the lines or items come already joined, a string of at most
+    _BLOCK of them per write."""
     if args.format == "text":
         head, entries, sep, tail = "", lines, "\n", "\n"
     else:
@@ -111,17 +120,32 @@ def _emit(args, command: str, ok: bool, lines, data: dict, key: str | None = Non
             head, entries, sep, tail = head + marker, items, ", ", "]" + tail + "\n"
     write = sys.stdout.write
     write(head)
-    lead, block = "", []
-    for entry in entries:
-        block.append(entry)
-        if len(block) == _BLOCK:
-            write(lead + sep.join(block))
-            lead, block = sep, []
-    if block:
-        write(lead + sep.join(block))
+    lead = ""
+    for run in entries if joined else _runs(entries, sep):
+        write(lead + run)
         lead = sep
     if head or lead:
         write(tail)
+
+
+def _flow_runs(blocks, quote: str, sep: str):
+    """The flows of a listing's ``blocks`` as lines, or as JSON strings when
+    ``quote`` is '"', joined by ``sep``, at most _BLOCK flows to a string:
+    one join renders a block, or the part of a block that fits."""
+    run, room = [], _BLOCK
+    for prefix, lasts in blocks:
+        head = quote + ";".join((*prefix, ""))
+        joint = quote + sep + head
+        while len(lasts) > room:
+            if room:
+                run.append(head + joint.join(lasts[:room]) + quote)
+                lasts = lasts[room:]
+            yield sep.join(run)
+            run, room = [], _BLOCK
+        run.append(head + joint.join(lasts) + quote)
+        room -= len(lasts)
+    if run:
+        yield sep.join(run)
 
 
 class _Parts(dict):
@@ -347,9 +371,9 @@ def cmd_flows(args) -> int:
     # escaped line.
     label = (lambda names: json.dumps(" ".join(names))[1:-1]) if json_out else " ".join
     listing = list_flows(net, I, J, label)
-    items = ('"' + ";".join(paths) + '"' for paths in listing)
     data = {"count": listing.count()} if json_out else {}
-    _emit(args, "flows", True, map(";".join, listing), data, "flows", items)
+    runs = _flow_runs(listing.blocks(), *(('"', ", ") if json_out else ("", "\n")))
+    _emit(args, "flows", True, runs, data, "flows", runs, joined=True)
     return 0
 
 

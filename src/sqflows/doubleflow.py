@@ -219,6 +219,15 @@ def _edge_set(path: tuple[str, ...]) -> frozenset[tuple[str, str]]:
     return frozenset(zip(path, path[1:]))
 
 
+def _edge_sets(net: PlanarNetwork, I):
+    """The edge sets of the flag flows of I in ``net``, in listing order: the
+    edges of a block's shared paths are joined once, then each last path's
+    added (the empty index set's one block is its one empty flow)."""
+    for prefix, lasts in list_flows(net, I, None, _edge_set).blocks():
+        head = frozenset().union(*prefix)
+        yield from map(head.__or__, lasts) if lasts else (head,)
+
+
 def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     """Number of flag-flow pairs for (I(A), J(A)) whose superposition is xi.
 
@@ -231,10 +240,9 @@ def count_decompositions(df: DoubleFlow, a_set=None) -> int:
     edges = tuple(e for e in net.edges if e in xi)
     sub = PlanarNetwork(net.vertices, edges, net.sources, net.sinks, net.origins, net.planarity, net.coords)
     singles, doubles = frozenset(df.level_edges(1)), frozenset(df.level_edges(2))
-    seconds = {frozenset().union(*psi_prime) for psi_prime in list_flows(sub, J, None, _edge_set)}
+    seconds = set(_edge_sets(sub, J))
     count = 0
-    for psi in list_flows(sub, I, None, _edge_set):
-        used = frozenset().union(*psi)
+    for used in _edge_sets(sub, I):
         if doubles <= used and (singles - used) | doubles in seconds:
             count += 1
     return count

@@ -18,7 +18,10 @@ first k paths took the positions ``key``, counted only where paths k, k+1,
 ... may still go.  The DAG grows a level at a time: one walk of path k's
 paths serves every node of level k, so a path is found once per level and
 labelled once per listing, however many nodes and flows share it; then the
-DAG is counted or walked in order.  Every phase keeps its own stack, so
+DAG is counted, or walked in order a block at a time: a block is a visit of
+a last-level node, the labels of the first m - 1 paths with the node's tuple
+of last-path labels, so a caller folds the shared paths once per block and
+the last paths with one C-level call.  Every phase keeps its own stack, so
 neither path length nor path count is bounded by the recursion limit.  The
 engines read the network's compiled form (``PlanarNetwork.form``), whose one
 table of the sinks each position reaches is all the reachability they use;
@@ -126,8 +129,8 @@ def _plan(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...]):
 def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
     """The DAG of the disjoint path systems that :func:`_plan` pairs, or
     None when there is none: a list whose k-th dict maps ``key`` to the live
-    choices of path k at node (k, key), as (label, next key), and whose last
-    level is the finished system {0: True}.
+    choices of path k at node (k, key), as (label, next key), and on the last
+    level, path m's, as the bare label; empty when m = 0.
 
     ``later[k]`` holds every position that paths k, k+1, ... may visit,
     their sources included, so the ways to finish a system whose first k
@@ -138,10 +141,10 @@ def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
     and at path k's sink gives each of them the path as a choice.  The next
     keys make the next level.  A backward pass keeps the choices that lead
     to a complete system and labels each path on its first live one (the
-    frontier-based search of SIMPATH, Knuth, TAOCP 4A, 7.1.4).  Every node
-    of the last level is live, so its paths are labelled as they are found,
-    one (label, 0) per path shared by all its nodes.  Everything runs on
-    explicit stacks and lives only for the call."""
+    frontier-based search of SIMPATH, Knuth, TAOCP 4A, 7.1.4).  Every
+    choice on the last level finishes a system, so its paths are labelled as
+    they are found, one label per path shared by all its nodes.  Everything
+    runs on explicit stacks and lives only for the call."""
     plan = _plan(net, I, J)
     if plan is None:
         return None
@@ -154,7 +157,7 @@ def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
 
     # levels[k]: path k's paths, as positions, and the choices each key of
     # level k found, as (path number, next key); on the last level, as the
-    # finished (label, 0).
+    # label.
     levels = []
     choices = {0: []}
     for k in range(m):
@@ -175,7 +178,7 @@ def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
                         if left:
                             stack.append((depth + 1, u, left))
             elif last:
-                choice = (label(tuple(map(order.__getitem__, path))), 0)
+                choice = label(tuple(map(order.__getitem__, path)))
                 for key in alive:
                     choices[key].append(choice)
             else:
@@ -194,9 +197,7 @@ def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
 
     # nodes[k][key]: the live choices of path k at (k, key); a node with none
     # is dead.
-    nodes = [{0: True}]
-    if m:
-        nodes.append({key: tuple(found) for key, found in levels.pop()[1].items()})
+    nodes = [{key: tuple(found) for key, found in levels.pop()[1].items()}] if m else []
     for paths, level in reversed(levels):
         live, labels, node = nodes[-1], {}, {}
         for key, found in level.items():
@@ -212,36 +213,44 @@ def _dag(net: PlanarNetwork, I: tuple[int, ...], J: tuple[int, ...], label):
     return nodes
 
 
-def _systems(nodes):
+def _blocks(nodes):
     """The systems of a :func:`_dag`, in lexicographic order of the vertex
-    sequences, each as the tuple of its paths' labels: a walk on an explicit
-    stack."""
+    sequences, a block per visit of a last-level node: (prefix, lasts), the
+    labels of paths 1..m-1 that its systems share and the node's tuple of
+    labels of path m, so the block holds prefix + (last,) for each last.
+    The one system of m = 0, which has no path m, is the block ((), ()).  A
+    walk on an explicit stack."""
     if nodes is None:
         return
-    m = len(nodes) - 1
-    if not m:
-        yield ()
+    if not nodes:
+        yield (), ()
         return
-    walk = [(iter(nodes[0][0]), ())]
+    end = len(nodes) - 1
+    walk = [(0, 0, ())]
     while walk:
-        choices, done = walk[-1]
-        k = len(walk)
-        if k == m:
-            for last, _ in choices:
-                yield done + (last,)
-            walk.pop()
-            continue
-        choice = next(choices, None)
-        if choice is None:
-            walk.pop()
-        else:
-            walk.append((iter(nodes[k][choice[1]]), done + (choice[0],)))
+        k, key, prefix = walk.pop()
+        choices = nodes[k][key]
+        if k < end:
+            walk.extend([(k + 1, after, prefix + (label,)) for label, after in reversed(choices)])
+        elif choices:  # of the nodes the walk visits, only the first can be dead
+            yield prefix, choices
+
+
+def _systems(nodes):
+    """The systems of a :func:`_dag`, in the order of :func:`_blocks`, each
+    as the tuple of its paths' labels."""
+    for prefix, lasts in _blocks(nodes):
+        if not lasts:
+            yield prefix
+        for last in lasts:
+            yield prefix + (last,)
 
 
 class FlowListing:
     """The flows of one listing, from the DAG built when it was made:
-    iterating walks the DAG in order, and :meth:`count` sums it without a
-    walk.  ``sources`` and ``sinks`` are the sorted, checked I and J."""
+    iterating walks the DAG in order, a flow at a time, :meth:`blocks` walks
+    it a block of flows at a time, and :meth:`count` sums it without a walk.
+    ``sources`` and ``sinks`` are the sorted, checked I and J."""
 
     __slots__ = ("_nodes", "sources", "sinks")
 
@@ -251,13 +260,19 @@ class FlowListing:
     def __iter__(self):
         return _systems(self._nodes)
 
+    def blocks(self):
+        """The flows in order, a block (prefix, lasts) at a time, as
+        :func:`_blocks` gives them."""
+        return _blocks(self._nodes)
+
     def count(self) -> int:
         """The number of flows: one pass over the levels, last to first, that
         sums the counts of each node's successors."""
-        if self._nodes is None:
-            return 0
-        counts = {0: 1}
-        for level in reversed(self._nodes[:-1]):
+        nodes = self._nodes
+        if not nodes:
+            return 0 if nodes is None else 1
+        counts = {key: len(lasts) for key, lasts in nodes[-1].items()}
+        for level in reversed(nodes[:-1]):
             counts = {key: sum(counts[after] for _, after in choices) for key, choices in level.items()}
         return counts[0]
 
@@ -278,9 +293,11 @@ def list_flows(net: PlanarNetwork, I: Iterable[int], J: Iterable[int] | None, la
     over its paths, ``names`` the tuple of a path's vertex names.  ``label``
     runs once per distinct path of the listing, not once per flow, so it may
     be a costly map (a rendered line, a packed degree vector).  Index sets are
-    checked and the DAG is built at the call; iterating the listing walks it,
-    and its ``count()`` needs no walk.  J None stands for the first |I|
-    sinks, of which there are no flows when I outnumbers the sinks."""
+    checked and the DAG is built at the call; iterating the listing walks it
+    a flow at a time, its ``blocks()`` a block of flows that share all but
+    their last path at a time, and its ``count()`` needs no walk.  J None
+    stands for the first |I| sinks, of which there are no flows when I
+    outnumbers the sinks."""
     I = _check_indices("source", I, len(net.sources))
     if J is None:
         J = tuple(range(1, len(I) + 1))

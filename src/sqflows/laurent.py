@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import reduce
+from itertools import chain
 
 from ._record import Record
 from .flows import Flow, list_flows
@@ -185,8 +186,10 @@ def laurent_expand(n: int, a_set: Iterable[int]) -> LaurentExpression:
             packed[half_grid_vertex(i, j)] = sum(1 << shift[iv] for iv in num if iv) - sum(
                 1 << shift[iv] for iv in den if iv
             )
-    flows = list_flows(build_half_grid(n), A, None, lambda path: sum([packed[v] for v in path]))
-    return LaurentExpression(monomials=_sorted_monomials(map(sum, flows), fields))
+    blocks = list_flows(build_half_grid(n), A, None, lambda path: sum([packed[v] for v in path])).blocks()
+    # A is nonempty, so every block has last paths; its prefix is summed once
+    degrees = chain.from_iterable(map(sum(prefix).__add__, lasts) for prefix, lasts in blocks)
+    return LaurentExpression(monomials=_sorted_monomials(degrees, fields))
 
 
 def reconstruct_from_intervals(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqflows.cli import _COMMANDS, _FORMAT, _read, build_parser, main
+from sqflows.cli import _BLOCK, _COMMANDS, _FORMAT, _read, build_parser, main
 from sqflows.flows import list_flows
 from sqflows.laurent import laurent_expand
 from sqflows.matchings import parse_collection_pair
@@ -492,8 +492,8 @@ def test_out_of_memory_is_an_input_error(monkeypatch, capsys):
         def count(self):
             return 2
 
-        def __iter__(self):
-            yield ("a b",)
+        def blocks(self):
+            yield (), ("a b",)
             raise MemoryError
 
     monkeypatch.setattr("sqflows.cli.list_flows", lambda *args: Exhausted())
@@ -608,6 +608,39 @@ def test_block_size_does_not_change_output(block, pair_files, monkeypatch, capsy
     expected = [run(capsys, argv) for argv in runs]
     monkeypatch.setattr("sqflows.cli._BLOCK", block)
     assert [run(capsys, argv) for argv in runs] == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_write_holds_at_most_a_block_of_flows(fmt, monkeypatch):
+    # one path from source 16 to sink 8: C(15, 7) = 6 435 flows, all in one
+    # block of the listing, which the writes split
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    argv = ["flows", "--network", "halfgrid:16", "-I", "16", "-J", "8", "--format", fmt]
+    assert main(argv) == 0
+    lines = [";".join(flow) for flow in list_flows(build_half_grid(16), (16,), (8,), " ".join)]
+    assert len(lines) == 6435
+    if fmt == "text":
+        expected = "".join(line + "\n" for line in lines)
+        sizes = [len(text.strip("\n").split("\n")) for text in recorder.writes if text.strip("\n")]
+    else:
+        payload = {"schema": 1, "command": "flows", "ok": True, "data": {"count": 6435, "flows": lines}}
+        expected = json.dumps(payload, sort_keys=True) + "\n"
+        # between the envelope's first and last write, each flow is one
+        # quoted string of vertex names, which hold no quote
+        sizes = [text.count('"') // 2 for text in recorder.writes[1:-1]]
+    assert "".join(recorder.writes) == expected
+    assert sum(sizes) == 6435 and max(sizes) <= _BLOCK and len(sizes) == 2
 
 
 COMMANDS = (

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _brute import naive_disjoint_systems, naive_flag_flows
@@ -187,6 +187,39 @@ def test_listing_order(net, data):
     assert listed == sorted(naive_disjoint_systems(net, srcs, dsts))
     for paths in (flag, listed):
         assert all(a < b for a, b in zip(paths, paths[1:]))
+
+
+@st.composite
+def listings(draw):
+    """A network and a flag listing (J None) or an (I, J) listing of it."""
+    net = draw(networks())
+    size = draw(st.integers(0, len(net.sources)))
+    I = draw(st.sets(st.integers(1, len(net.sources)), min_size=size, max_size=size))
+    J = None
+    if len(I) <= len(net.sinks) and draw(st.booleans()):
+        J = draw(st.sets(st.integers(1, len(net.sinks)), min_size=len(I), max_size=len(I)))
+    return net, I, J
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(listings())
+@example((build_half_grid(6), {1, 3, 5}, None))
+@example((build_half_grid(7), {2, 4, 5, 7}, {1, 2, 4, 6}))
+def test_listing_blocks_flatten_to_the_listing(case):
+    # I = () and flowless listings included: the blocks hold the flows in
+    # listing order, each block at least one, and all the flows that share
+    # their first m - 1 paths; their sizes add up to count()
+    net, I, J = case
+    listing = list_flows(net, I, J, tuple)
+    blocks = list(listing.blocks())
+    if not I:
+        # one empty flow, which has no last path
+        assert blocks == [((), ())] and list(listing) == [()] and listing.count() == 1
+        return
+    assert all(lasts and len(prefix) == len(I) - 1 for prefix, lasts in blocks)
+    assert len({prefix for prefix, _ in blocks}) == len(blocks)
+    assert [prefix + (last,) for prefix, lasts in blocks for last in lasts] == list(listing)
+    assert sum(len(lasts) for _, lasts in blocks) == listing.count()
 
 
 @settings(max_examples=60, deadline=None)
